@@ -13,6 +13,7 @@ import csv
 import json
 import logging
 import sys
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -139,6 +140,21 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_CONFIG_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _has_type(value: object, hint: object) -> bool:
+    """Whether a JSON value fits a RunConfig field annotation."""
+    if typing.get_origin(hint) is typing.Union:
+        return any(_has_type(value, arg) for arg in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -163,10 +179,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             data[key] = value
     if isinstance(data.get("methods"), str):
         data["methods"] = [m.strip() for m in data["methods"].split(",") if m.strip()]
-    try:
-        config = RunConfig(**data)
-    except TypeError as exc:
-        raise UsageError(f"invalid configuration: {exc}") from None
+    for key, value in sorted(data.items()):
+        hint = _CONFIG_TYPES[key]
+        if not _has_type(value, hint):
+            expected = str(hint).replace("typing.", "") if typing.get_args(hint) else hint.__name__
+            raise UsageError(f"config key {key!r} must be {expected}, got {value!r}")
+    config = RunConfig(**data)
     config.validate_common()
     return config
 
@@ -228,6 +246,14 @@ def _load_indices(index_dir: str, sources: Sequence[str]) -> dict[str, ModalityI
         if not path.is_file():
             raise IndexingError(f"missing index for {source!r}: {path}")
         indices[source] = load_index(path)
+    first = next(iter(indices.values()), None)
+    for index in indices.values():
+        if index.embedder != first.embedder:
+            a, b = (json.dumps(i.embedder.to_dict(), sort_keys=True) for i in (first, index))
+            raise IndexingError(
+                f"indices in {index_dir} were built with different embedders: "
+                f"{first.source} {a}, {index.source} {b}"
+            )
     return indices
 
 

@@ -357,6 +357,38 @@ class TestEvaluate:
         _build(workspace)
         assert self._evaluate(workspace, "sorcery") == EXIT_USAGE
 
+    def test_truncated_index_is_runtime_error(self, workspace, capsys):
+        _gen(workspace)
+        _build(workspace)
+        path = workspace["index_dir"] / "asr.idx"
+        path.write_bytes(path.read_bytes()[:-5])
+        capsys.readouterr()
+        assert self._evaluate(workspace, "single:asr") == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "asr.idx" in err
+
+    def test_mixed_embedders_rejected_at_load(self, workspace, tmp_path, capsys):
+        _gen(workspace)
+        _build(workspace)
+        other = tmp_path / "other"
+        main(
+            [
+                "build-index",
+                "--corpus",
+                str(workspace["corpus"]),
+                "--index-dir",
+                str(other),
+                "--dim",
+                "512",
+            ]
+        )
+        (workspace["index_dir"] / "ocr.idx").write_bytes((other / "ocr.idx").read_bytes())
+        capsys.readouterr()
+        assert self._evaluate(workspace, "single:asr") == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "different embedders" in err
+        assert '"dim": 4096' in err and '"dim": 512' in err
+
     def test_depth_below_ten_rejected(self, workspace, capsys):
         _gen(workspace)
         _build(workspace)
@@ -410,3 +442,10 @@ class TestConfigFile:
     def test_missing_config_file_is_usage_error(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert main(["route", "--config", str(missing), "hello"]) == EXIT_USAGE
+
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"depth": "50"}))
+        assert main(["route", "--config", str(config), "hello"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "'depth' must be int" in err

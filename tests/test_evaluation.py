@@ -366,3 +366,14 @@ class TestRunEvaluation:
         # Routing-only evaluation keeps the original text, so gold still wins;
         # the nonsense rewrite destroys retrieval when the flag is on.
         assert baseline.recall_at_1 > rewritten.recall_at_1
+
+
+@pytest.mark.parametrize("fusion", [FusionMethod.LINEAR, FusionMethod.RRF])
+def test_late_fusion_all_is_exact_on_acceptance_corpus(acceptance_corpus, fusion):
+    # Lists carry only positive-score clips, so clips that match nothing in
+    # one modality cannot pad its list and outvote the gold clip in fusion.
+    corpus, queries, indices = acceptance_corpus
+    method = EvalMethod(kind=MethodKind.LATE_FUSION_ALL, label="late_fusion_all")
+    report = run_evaluation(corpus, queries, method, indices, depth=50, fusion_method=fusion)
+    assert report.recall_at_1 == 1.0
+    assert report.ndcg_at_5 == 1.0

@@ -1,13 +1,25 @@
 """Tests for index construction, search, and serialization."""
 
+import hashlib
+import json
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliproute.corpus import ClipRecord, ClipRef, Corpus, Modality
-from cliproute.embed import EmbeddingError, default_spec, embed_text
+from cliproute.embed import (
+    EmbedderSpec,
+    EmbeddingError,
+    default_spec,
+    embed_text,
+    register_embedder,
+)
 from cliproute.index import (
+    INDEX_SOURCES,
     IndexingError,
     build_fused_index,
     build_index,
@@ -16,6 +28,11 @@ from cliproute.index import (
     search,
     split_sentences,
 )
+
+_WORDS = [
+    "amber", "basil", "cedar", "dahlia", "elder", "fennel", "ginger",
+    "hazel", "iris", "juniper", "laurel", "maple", "nutmeg", "olive",
+]
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +46,50 @@ def _corpus(*records):
 
 def _clip(video, start, **fields):
     return ClipRecord(ref=ClipRef(video, start, start + 10), **fields)
+
+
+def _dense_rows(index):
+    """The index's stored rows as a dense (len, dim) matrix."""
+    dense = np.zeros((len(index), index.embedder.dim))
+    rows = np.repeat(np.arange(len(index)), np.diff(index.indptr))
+    dense[rows, index.buckets] = index.weights
+    return dense
+
+
+def _full_width_scores(dense_rows, query):
+    """Each row's sequential dot product with the query."""
+    return np.cumsum(dense_rows * query, axis=1)[:, -1]
+
+
+def _oracle(index, dense_rows, query, n):
+    """Dense reference search: sequential dot products, a full sort by
+    (-score, clip id), positive scores only, then the first n.
+
+    Columns where the query is zero add only +-0.0 to each running sum, so
+    the sums run over the query's nonzero columns alone; that is ~100x
+    cheaper at dim 4096, and test_oracle_sums_equal_full_width_sums checks
+    it against :func:`_full_width_scores`.
+    """
+    support = np.flatnonzero(query)
+    if not support.size:
+        return []
+    scores = _full_width_scores(dense_rows[:, support], query[support])
+    ranked = sorted(
+        zip(index.clip_refs, scores.tolist()), key=lambda item: (-item[1], item[0].clip_id)
+    )
+    return [(ref, score) for ref, score in ranked if score > 0][:n]
+
+
+def _dense_embed(spec, text):
+    """A registered embedder whose vectors are dense and partly negative."""
+    hashed = embed_text(default_spec(spec.dim), text)
+    if not hashed.any():
+        return hashed
+    vec = hashed + 0.05 * np.cos(np.arange(spec.dim) + len(text))
+    return vec / np.linalg.norm(vec)
+
+
+register_embedder("test-dense", _dense_embed)
 
 
 class TestBuildIndex:
@@ -53,7 +114,7 @@ class TestBuildIndex:
         assert len(index) == 1
         assert index.build_stats.skipped == 1
         # No stored vector is a zero sentinel.
-        assert np.all(np.linalg.norm(index.matrix, axis=1) > 0.99)
+        assert np.all(np.linalg.norm(_dense_rows(index), axis=1) > 0.99)
 
     def test_empty_index_carries_warning_flag(self, spec):
         corpus = _corpus(_clip("a", 0, visual_caption="cat"))
@@ -65,7 +126,7 @@ class TestBuildIndex:
         corpus = _corpus(_clip("a", 0, asr_text="hello there friend"))
         index = build_index(corpus, Modality.ASR, spec)
         expected = embed_text(spec, "hello there friend")
-        assert np.allclose(index.matrix[0], expected, atol=1e-12)
+        assert np.allclose(_dense_rows(index)[0], expected, atol=1e-12)
 
     def test_two_sentence_document_matches_mean_pool_oracle(self, spec):
         corpus = _corpus(_clip("a", 0, asr_text="hello there. goodbye now!"))
@@ -75,7 +136,7 @@ class TestBuildIndex:
         v2 = embed_text(spec, "goodbye now")
         pooled = (v1 + v2) / 2.0
         pooled = pooled / np.linalg.norm(pooled)
-        assert np.allclose(index.matrix[0], pooled, atol=1e-12)
+        assert np.allclose(_dense_rows(index)[0], pooled, atol=1e-12)
 
     def test_fused_index_uses_fused_caption(self, spec):
         corpus = _corpus(
@@ -86,6 +147,20 @@ class TestBuildIndex:
         assert len(index) == 1
         assert index.source == "fused"
         assert index.modality is None
+
+    def test_rows_keep_exactly_the_pooled_nonzeros(self, spec):
+        corpus = _corpus(
+            _clip("a", 0, asr_text="hello there. goodbye now!"),
+            _clip("b", 0, asr_text="other content"),
+        )
+        index = build_index(corpus, Modality.ASR, spec)
+        for i, clip in enumerate(corpus):
+            vectors = [embed_text(spec, s) for s in split_sentences(clip.asr_text)]
+            pooled = np.mean(vectors, axis=0)
+            pooled = pooled / float(np.linalg.norm(pooled))
+            lo, hi = index.indptr[i], index.indptr[i + 1]
+            assert np.array_equal(index.buckets[lo:hi], np.flatnonzero(pooled))
+            assert np.array_equal(index.weights[lo:hi], pooled[pooled != 0])
 
     def test_split_sentences(self):
         assert split_sentences("One. Two! Three?") == ["One", " Two", " Three"]
@@ -107,7 +182,7 @@ class TestSearch:
     def test_n_larger_than_index_returns_everything_ordered(self, spec):
         corpus = _corpus(
             _clip("a", 0, asr_text="alpha"),
-            _clip("b", 0, asr_text="beta"),
+            _clip("b", 0, asr_text="alpha beta"),
         )
         index = build_index(corpus, Modality.ASR, spec)
         ranked = search(index, embed_text(spec, "alpha"), 10)
@@ -115,6 +190,24 @@ class TestSearch:
         assert ranked.depth == 10
         scores = [s for _, s in ranked.items]
         assert scores == sorted(scores, reverse=True)
+
+    def test_query_sharing_no_bucket_returns_empty(self, spec):
+        corpus = _corpus(
+            _clip("a", 0, asr_text="alpha"),
+            _clip("b", 0, asr_text="beta"),
+        )
+        index = build_index(corpus, Modality.ASR, spec)
+        query = embed_text(spec, "zzz")
+        stored = set(index.buckets.tolist())
+        assert not stored & set(np.flatnonzero(query).tolist())
+        assert search(index, query, 10).items == []
+
+    def test_only_positive_scores_are_returned(self, spec):
+        corpus = _corpus(*[_clip(f"v{i}", 0, asr_text=w) for i, w in enumerate(_WORDS)])
+        index = build_index(corpus, Modality.ASR, spec)
+        ranked = search(index, embed_text(spec, "amber basil"), 50)
+        assert 2 <= len(ranked.items) < len(index)
+        assert all(score > 0 for _, score in ranked.items)
 
     def test_zero_sentinel_query_returns_empty(self, spec):
         corpus = _corpus(_clip("a", 0, asr_text="alpha"))
@@ -130,10 +223,7 @@ class TestSearch:
 
     def test_matches_brute_force_ordering(self, spec):
         rng = random.Random(23)
-        words = [
-            "amber", "basil", "cedar", "dahlia", "elder", "fennel", "ginger",
-            "hazel", "iris", "juniper", "laurel", "maple", "nutmeg", "olive",
-        ]
+        words = _WORDS
         records = []
         for i in range(30):
             text = " ".join(rng.choices(words, k=rng.randint(2, 6)))
@@ -152,6 +242,7 @@ class TestSearch:
                 score = float(sum(a * b for a, b in zip(query, vec)))
                 oracle.append((clip.ref, score))
             oracle.sort(key=lambda item: (-item[1], item[0].clip_id))
+            oracle = [(ref, score) for ref, score in oracle if score > 0]
             assert [r for r, _ in ranked.items] == [r for r, _ in oracle[:10]]
             for (_, got), (_, want) in zip(ranked.items, oracle[:10]):
                 assert got == pytest.approx(want, abs=1e-9)
@@ -183,6 +274,123 @@ class TestSearch:
         assert ClipRef("b", 0, 10) not in returned
 
 
+class TestSearchParity:
+    """search() against the dense oracle: identical rankings, bit-equal scores."""
+
+    @pytest.mark.parametrize("source", INDEX_SOURCES)
+    def test_acceptance_corpus(self, acceptance_corpus, source):
+        _, queries, indices = acceptance_corpus
+        index = indices[source]
+        dense = _dense_rows(index)
+        sample = queries[::10]
+        assert len(sample) >= 300
+        for i, query in enumerate(sample):
+            vec = embed_text(index.embedder, query.text)
+            n = (10, 50, 1000)[i % 3]
+            assert search(index, vec, n).items == _oracle(index, dense, vec, n)
+
+    @pytest.mark.parametrize("source", INDEX_SOURCES)
+    def test_oracle_sums_equal_full_width_sums(self, acceptance_corpus, source):
+        _, queries, indices = acceptance_corpus
+        index = indices[source]
+        dense = _dense_rows(index)
+        for query in queries[5::300]:
+            vec = embed_text(index.embedder, query.text)
+            support = np.flatnonzero(vec)
+            full = _full_width_scores(dense, vec)
+            assert np.array_equal(_full_width_scores(dense[:, support], vec[support]), full)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(
+            st.lists(st.sampled_from(_WORDS + ["!", "x.", "ab"]), min_size=1, max_size=6),
+            min_size=1,
+            max_size=25,
+        ),
+        queries=st.lists(
+            st.lists(st.sampled_from(_WORDS + ["?"]), min_size=1, max_size=4),
+            min_size=1,
+            max_size=5,
+        ),
+        embedder=st.sampled_from(["hashed-trigram", "test-dense"]),
+        dim=st.sampled_from([16, 64, 512]),
+        n=st.integers(1, 30),
+        seed=st.integers(0, 1000),
+    )
+    def test_generated_corpora(self, texts, queries, embedder, dim, n, seed):
+        ids = random.Random(seed).sample(range(100), len(texts))
+        corpus = _corpus(
+            *[
+                _clip(f"v{ids[i]:02d}", 0, asr_text=" ".join(t), visual_caption="scene")
+                for i, t in enumerate(texts)
+            ]
+        )
+        spec = default_spec(dim) if embedder == "hashed-trigram" else EmbedderSpec(embedder, dim)
+        index = build_index(corpus, Modality.ASR, spec)
+        dense = _dense_rows(index)
+        for words in queries:
+            vec = embed_text(spec, " ".join(words))
+            assert search(index, vec, n).items == _oracle(index, dense, vec, n)
+
+    def test_dense_embedder_stores_every_bucket(self):
+        spec = EmbedderSpec("test-dense", 32)
+        corpus = _corpus(_clip("a", 0, asr_text="alpha"), _clip("b", 0, asr_text="beta"))
+        index = build_index(corpus, Modality.ASR, spec)
+        assert list(np.diff(index.indptr)) == [32, 32]
+        assert (index.weights < 0).any()
+
+
+def _saved(tmp_path, spec):
+    corpus = _corpus(
+        _clip("a", 0, asr_text="first one. second part."),
+        _clip("b", 0, asr_text="other content"),
+    )
+    path = tmp_path / "asr.idx"
+    save_index(build_index(corpus, Modality.ASR, spec), path)
+    return path
+
+
+def _split(data):
+    """(header dict, payload bytes) of an index file."""
+    line, _, payload = data.partition(b"\n")
+    return json.loads(line), payload
+
+
+def _signed(header, payload):
+    """Index file bytes for ``header`` and ``payload`` with a valid digest."""
+    header = {k: v for k, v in header.items() if k != "sha256"}
+    line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    header["sha256"] = hashlib.sha256(line + payload).hexdigest()
+    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
+
+
+def _first_entry(payload):
+    """(offset of the first entry's buckets, of its weights, its nnz)."""
+    id_len, nnz = struct.unpack_from("<II", payload, 0)
+    return 8 + id_len, 8 + id_len + 4 * nnz, nnz
+
+
+def _with_header(**changes):
+    def corrupt(header, payload):
+        return {**header, **changes}, payload
+
+    return corrupt
+
+
+def _set_bucket(position, value):
+    def corrupt(header, payload):
+        buckets_at, _, nnz = _first_entry(payload)
+        at = buckets_at + 4 * (position % nnz)
+        return header, payload[:at] + struct.pack("<I", value) + payload[at + 4 :]
+
+    return corrupt
+
+
+def _nan_weight(header, payload):
+    _, weights_at, _ = _first_entry(payload)
+    return header, payload[:weights_at] + struct.pack("<d", float("nan")) + payload[weights_at + 8 :]
+
+
 class TestSerialization:
     def test_round_trip_is_exact(self, tmp_path, spec):
         corpus = _corpus(
@@ -196,7 +404,9 @@ class TestSerialization:
         assert loaded.source == index.source
         assert loaded.embedder == index.embedder
         assert loaded.clip_refs == index.clip_refs
-        assert np.array_equal(loaded.matrix, index.matrix)
+        assert np.array_equal(loaded.indptr, index.indptr)
+        assert np.array_equal(loaded.buckets, index.buckets)
+        assert np.array_equal(loaded.weights, index.weights)
         assert loaded.build_stats == index.build_stats
 
     def test_rebuild_produces_byte_identical_files(self, tmp_path, spec):
@@ -227,3 +437,80 @@ class TestSerialization:
         path.write_bytes(b'{"format": "something-else", "version": 1}\n')
         with pytest.raises(IndexingError, match="unexpected format"):
             load_index(path)
+
+    def test_v1_file_asks_for_a_rebuild(self, tmp_path):
+        path = tmp_path / "old.idx"
+        path.write_bytes(b'{"format": "cliproute-index", "version": 1}\n' + b"\0" * 16)
+        with pytest.raises(IndexingError, match="unsupported version 1; rebuild with build-index"):
+            load_index(path)
+
+    def test_layout_matches_the_documented_format(self, tmp_path, spec):
+        path = _saved(tmp_path, spec)
+        header, payload = _split(path.read_bytes())
+        assert header["version"] == 2
+        assert path.read_bytes() == _signed(header, payload)
+        index = load_index(path)
+        assert header["nnz"] == len(index.buckets)
+        _, weights_at, nnz = _first_entry(payload)
+        assert nnz == index.indptr[1]
+        assert payload[weights_at - 4 * nnz : weights_at] == index.buckets[:nnz].astype("<u4").tobytes()
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_with_header(dim=256), "does not match embedder dim"),
+            (_with_header(count=3), "runs past the end"),
+            (_with_header(count=1), "bytes trail the last entry"),
+            (_with_header(nnz=1), "header says 1"),
+            (_with_header(source="audio"), "unknown source"),
+            (lambda h, p: (h, p + b"\0"), "bytes trail the last entry"),
+            (lambda h, p: (h, p[:-8]), "runs past the end"),
+            (_set_bucket(0, 600), "increase within a row and stay below 512"),
+            (_set_bucket(-1, 512), "increase within a row and stay below 512"),
+            (_set_bucket(1, 0), "increase within a row"),
+            (_nan_weight, "finite"),
+        ],
+    )
+    def test_inconsistent_signed_files_rejected(self, tmp_path, spec, corrupt, message):
+        path = _saved(tmp_path, spec)
+        path.write_bytes(_signed(*corrupt(*_split(path.read_bytes()))))
+        with pytest.raises(IndexingError, match=message):
+            load_index(path)
+
+    def test_reformatted_header_rejected(self, tmp_path, spec):
+        # The same JSON values with other whitespace, as a flipped space
+        # byte gives: the digest still matches, so only this check sees it.
+        path = _saved(tmp_path, spec)
+        path.write_bytes(path.read_bytes().replace(b", ", b",\t", 1))
+        with pytest.raises(IndexingError, match="canonical"):
+            load_index(path)
+
+    def test_digest_mismatch_rejected(self, tmp_path, spec):
+        path = _saved(tmp_path, spec)
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(IndexingError, match="sha256 mismatch"):
+            load_index(path)
+
+
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    path = _saved(tmp_path_factory.mktemp("small"), default_spec(dim=64))
+    return path.read_bytes()
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(cut=st.integers(0, 10**6), position=st.integers(0, 10**6), mask=st.integers(0, 255))
+def test_every_truncation_and_byte_flip_is_rejected(small_file, tmp_path_factory, cut, position, mask):
+    """mask 0 truncates the file at ``cut``; any other mask flips bits of one byte."""
+    if mask == 0:
+        damaged = small_file[: cut % len(small_file)]
+    else:
+        data = bytearray(small_file)
+        data[position % len(data)] ^= mask
+        damaged = bytes(data)
+    path = tmp_path_factory.mktemp("damaged") / "asr.idx"
+    path.write_bytes(damaged)
+    with pytest.raises(IndexingError):
+        load_index(path)
