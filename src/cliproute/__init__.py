@@ -54,7 +54,6 @@ from .router import (
     constrain_single,
     make_router,
     parse_router_response,
-    route,
     rule_route,
 )
 from .synth import generate_synthetic_corpus
@@ -105,7 +104,6 @@ __all__ = [
     "recall_at_k",
     "reciprocal_rank",
     "register_embedder",
-    "route",
     "routing_stats",
     "rrf_fuse",
     "rule_route",

@@ -15,17 +15,17 @@ import json
 import logging
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Optional
-
-import requests
+from typing import TYPE_CHECKING, Optional
 
 from .corpus import MODALITIES, Modality, QueryRecord, normalize_text
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -104,7 +104,6 @@ class RouterConfig:
     timeout_s: float = 30.0
     max_retries: int = 3
     backoff_s: float = 0.5
-    max_in_flight: int = 8
     replay_path: Optional[str] = None
     audit_path: Optional[str] = None
 
@@ -321,6 +320,8 @@ class LlmRouter:
     message and the query text as the user message. Transient failures are
     retried with exponential backoff; after the retry budget the router
     either falls back to all modalities or surfaces the error, per config.
+    ``requests`` is imported here, not at module level, so the other
+    backends never pay for loading an HTTP client.
     """
 
     def __init__(
@@ -336,11 +337,11 @@ class LlmRouter:
             raise RouterError(f"LLM backend requires a base URL (config or ${ENV_BASE_URL})")
         if not self.model:
             raise RouterError(f"LLM backend requires a model name (config or ${ENV_MODEL})")
+        import requests
+
         self._session = session or requests.Session()
         self._sleep = sleep
         self._instructions = router_instructions()
-        # Callers may fan route() out across threads; cap concurrent POSTs.
-        self._in_flight = threading.BoundedSemaphore(max(1, config.max_in_flight))
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -362,6 +363,8 @@ class LlmRouter:
             handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
 
     def route(self, query: QueryRecord) -> RoutingDecision:
+        import requests
+
         url = self.base_url.rstrip("/") + "/chat/completions"
         body = {
             "model": self.model,
@@ -375,10 +378,9 @@ class LlmRouter:
             if attempt:
                 self._sleep(self.config.backoff_s * 2 ** (attempt - 1))
             try:
-                with self._in_flight:
-                    response = self._session.post(
-                        url, json=body, headers=self._headers(), timeout=self.config.timeout_s
-                    )
+                response = self._session.post(
+                    url, json=body, headers=self._headers(), timeout=self.config.timeout_s
+                )
             except requests.RequestException as exc:
                 last_error = f"request failed: {exc}"
                 continue
@@ -421,8 +423,3 @@ def make_router(config: RouterConfig, session: Optional[requests.Session] = None
     if backend == "llm":
         return LlmRouter(config, session=session)
     raise RouterError(f"unknown router backend {backend!r}; expected one of {ROUTER_BACKENDS}")
-
-
-def route(query: QueryRecord, config: RouterConfig) -> RoutingDecision:
-    """Route one query with the configured backend."""
-    return make_router(config).route(query)

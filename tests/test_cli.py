@@ -1,7 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -449,3 +453,48 @@ class TestConfigFile:
         assert main(["route", "--config", str(config), "hello"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "'depth' must be int" in err
+
+
+# Runs CLI commands in a fresh interpreter and reports which HTTP-client
+# modules they loaded. A fresh process is needed because this test session
+# has imported ``requests`` already (tests/test_router.py uses it).
+_COLD_START_SCRIPT = """
+import json, sys
+from cliproute.cli import main
+codes = [main(args) for args in json.loads(sys.argv[1])]
+http = ("requests", "urllib3", "charset_normalizer", "idna")
+print(json.dumps({"codes": codes, "loaded": [m for m in http if m in sys.modules]}))
+"""
+
+
+class TestColdStart:
+    def test_rule_query_and_evaluate_never_import_requests(self, workspace, capsys):
+        _gen(workspace)
+        _build(workspace)
+        capsys.readouterr()
+        index_dir = str(workspace["index_dir"])
+        query = ["query", "--fusion", "rrf", "--index-dir", index_dir, "what does the sign say"]
+        evaluate = [
+            "evaluate",
+            "--corpus",
+            str(workspace["corpus"]),
+            "--queries",
+            str(workspace["queries"]),
+            "--index-dir",
+            index_dir,
+            "--methods",
+            "routed:rule,late_fusion_all",
+            "--out",
+            str(workspace["report"]),
+        ]
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", _COLD_START_SCRIPT, json.dumps([query, evaluate])],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outcome = json.loads(result.stdout.splitlines()[-1])
+        assert outcome["codes"] == [EXIT_OK, EXIT_OK]
+        assert outcome["loaded"] == []

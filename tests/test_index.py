@@ -391,6 +391,18 @@ def _nan_weight(header, payload):
     return header, payload[:weights_at] + struct.pack("<d", float("nan")) + payload[weights_at + 8 :]
 
 
+def _edit_first_id(edit):
+    """Corruption that rewrites the first entry's id bytes at the same length."""
+
+    def corrupt(header, payload):
+        id_len, _ = struct.unpack_from("<II", payload, 0)
+        clip_id = edit(payload[8 : 8 + id_len])
+        assert len(clip_id) == id_len
+        return header, payload[:8] + clip_id + payload[8 + id_len :]
+
+    return corrupt
+
+
 class TestSerialization:
     def test_round_trip_is_exact(self, tmp_path, spec):
         corpus = _corpus(
@@ -469,6 +481,8 @@ class TestSerialization:
             (_set_bucket(-1, 512), "increase within a row and stay below 512"),
             (_set_bucket(1, 0), "increase within a row"),
             (_nan_weight, "finite"),
+            (_edit_first_id(lambda b: b.replace(b"__e", b"__x")), "bad clip id"),
+            (_edit_first_id(lambda b: b"\xff" + b[1:]), "bad clip id"),
         ],
     )
     def test_inconsistent_signed_files_rejected(self, tmp_path, spec, corrupt, message):

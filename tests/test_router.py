@@ -19,7 +19,6 @@ from cliproute.router import (
     fallback_all_decision,
     make_router,
     parse_router_response,
-    route,
     rule_route,
 )
 
@@ -217,35 +216,35 @@ class TestConstrainSingle:
 
 class TestBackends:
     def test_rule_backend_through_route(self):
-        decision = route(_query("who says hello"), RouterConfig(backend="rule"))
+        decision = make_router(RouterConfig(backend="rule")).route(_query("who says hello"))
         assert decision.modalities == [Modality.ASR]
 
     def test_single_mode_truncates(self):
         config = RouterConfig(backend="rule", mode=RouterMode.SINGLE)
-        decision = route(_query("what does the sign say"), config)
+        decision = make_router(config).route(_query("what does the sign say"))
         assert decision.modalities == [Modality.OCR]
 
     def test_oracle_selects_gold(self):
-        decision = route(
-            _query("anything", source="ocr"), RouterConfig(backend="oracle")
+        decision = make_router(RouterConfig(backend="oracle")).route(
+            _query("anything", source="ocr")
         )
         assert decision.modalities == [Modality.OCR]
         assert decision.origin is Origin.ORACLE
 
     def test_oracle_on_dense_selects_all(self):
-        decision = route(
-            _query("anything", source="dense"), RouterConfig(backend="oracle")
+        decision = make_router(RouterConfig(backend="oracle")).route(
+            _query("anything", source="dense")
         )
         assert decision.modalities == list(MODALITIES)
 
     def test_all_backend(self):
-        decision = route(_query("who says hello"), RouterConfig(backend="all"))
+        decision = make_router(RouterConfig(backend="all")).route(_query("who says hello"))
         assert decision.modalities == list(MODALITIES)
         assert decision.origin is Origin.ALL
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(RouterError, match="unknown router backend"):
-            route(_query("x"), RouterConfig(backend="psychic"))
+            make_router(RouterConfig(backend="psychic")).route(_query("x"))
 
 
 class TestReplayRouter:
@@ -259,26 +258,26 @@ class TestReplayRouter:
             tmp_path, [{"query_id": "q1", "raw_response": '{"visuals": "scenic"}'}]
         )
         config = RouterConfig(backend="replay", replay_path=path)
-        decision = route(_query("whatever"), config)
+        decision = make_router(config).route(_query("whatever"))
         assert decision.selections == [(Modality.VISUAL, "scenic")]
 
     def test_unparseable_entry_falls_back(self, tmp_path):
         path = self._fixture(tmp_path, [{"query_id": "q1", "raw_response": "garbage"}])
         config = RouterConfig(backend="replay", replay_path=path)
-        decision = route(_query("whatever"), config)
+        decision = make_router(config).route(_query("whatever"))
         assert decision.origin is Origin.FALLBACK_ALL
 
     def test_missing_entry_with_fallback(self, tmp_path):
         path = self._fixture(tmp_path, [{"query_id": "other", "raw_response": "{}"}])
         config = RouterConfig(backend="replay", replay_path=path)
-        decision = route(_query("whatever"), config)
+        decision = make_router(config).route(_query("whatever"))
         assert decision.origin is Origin.FALLBACK_ALL
 
     def test_missing_entry_without_fallback_raises(self, tmp_path):
         path = self._fixture(tmp_path, [{"query_id": "other", "raw_response": "{}"}])
         config = RouterConfig(backend="replay", replay_path=path, fallback_on_error=False)
         with pytest.raises(RouterError, match="no replay entry"):
-            route(_query("whatever"), config)
+            make_router(config).route(_query("whatever"))
 
     def test_requires_fixture_path(self):
         with pytest.raises(RouterError, match="replay backend requires"):
