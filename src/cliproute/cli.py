@@ -34,11 +34,10 @@ from .embed import (
     EmbedderSpec,
     EmbeddingError,
     default_spec,
-    embed_text,
     registered_embedders,
 )
-from .evaluation import EvalError, EvalMethod, MethodKind, run_evaluation
-from .fusion import FusionMethod, fuse
+from .evaluation import EvalError, EvalMethod, MethodKind, retrieve, run_evaluation
+from .fusion import FusionMethod
 from .index import (
     FUSED_SOURCE,
     IndexingError,
@@ -47,7 +46,6 @@ from .index import (
     build_index,
     load_index,
     save_index,
-    search,
 )
 from .router import ROUTER_BACKENDS, RouterConfig, RouterError, RouterMode, make_router
 from .synth import generate_synthetic_corpus
@@ -103,6 +101,10 @@ class RunConfig:
             raise UsageError(f"fusion must be 'linear' or 'rrf', got {self.fusion!r}")
         if self.rrf_k <= 0:
             raise UsageError(f"rrf_k must be positive, got {self.rrf_k}")
+        if self.llm_timeout_s <= 0:
+            raise UsageError(f"llm_timeout_s must be positive, got {self.llm_timeout_s}")
+        if self.llm_max_retries < 1:
+            raise UsageError(f"llm_max_retries must be >= 1, got {self.llm_max_retries}")
         if self.router not in ROUTER_BACKENDS:
             raise UsageError(
                 f"router must be one of {ROUTER_BACKENDS}, got {self.router!r}"
@@ -319,28 +321,20 @@ def cmd_query(config: RunConfig, query_text: str) -> int:
     if not query_text or not query_text.strip():
         raise UsageError("query text must be non-empty")
     index_dir = _require_dir(config, "index_dir")
-    router = make_router(config.router_config())
     query = QueryRecord(query_id="cli", text=query_text, gold=_CLI_GOLD)
-    decision = router.route(query)
+    decision = make_router(config.router_config()).route(query)
     indices = _load_indices(index_dir, [m.wire for m in decision.modalities])
-    lists = []
-    for modality, optimized in decision.selections:
-        index = indices[modality.wire]
-        text = optimized if config.use_rewrites else query_text
-        vec = embed_text(index.embedder, text)
-        lists.append(search(index, vec, config.depth))
-    non_empty = [ranked for ranked in lists if ranked.items]
-    if not non_empty:
-        print("[]")
-        return EXIT_OK
-    ranking = fuse(non_empty, FusionMethod(config.fusion), config.depth, config.rrf_k)
+    fusion = FusionMethod(config.fusion)
+    items = retrieve(
+        query, decision, indices, config.depth, fusion, config.rrf_k, config.use_rewrites
+    )
     payload = [
         {
             "clip_id": item.ref.clip_id,
             "fused_score": item.score,
             "provenance": item.provenance_wire(),
         }
-        for item in ranking.items
+        for item in items or ()
     ]
     print(json.dumps(payload, ensure_ascii=False, indent=2))
     return EXIT_OK

@@ -19,9 +19,9 @@ from typing import Mapping, Optional, Sequence
 
 from .corpus import Corpus, ClipRef, MODALITIES, Modality, QueryRecord
 from .embed import embed_text, is_zero
-from .fusion import FusionMethod, DEFAULT_RRF_K, fuse
+from .fusion import FusionMethod, DEFAULT_RRF_K, FusedItem, fuse
 from .index import DEFAULT_DEPTH, ModalityIndex, search
-from .router import Origin, RoutingDecision, constrain_single
+from .router import AllRouter, Origin, Router, RoutingDecision, constrain_single
 
 TOTAL_MODALITIES = 3
 
@@ -195,7 +195,7 @@ class EvalMethod:
 
     kind: MethodKind
     modality: Optional[Modality] = None  # SINGLE only
-    router: Optional[object] = None  # ROUTED only; must expose route(query)
+    router: Optional[Router] = None  # ROUTED only
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -273,6 +273,41 @@ class _QueryOutcome:
     unembeddable: bool
 
 
+def retrieve(
+    query: QueryRecord,
+    decision: RoutingDecision,
+    indices: Mapping[str, ModalityIndex],
+    depth: int,
+    fusion_method: FusionMethod,
+    rrf_k: float,
+    use_rewrites: bool,
+) -> Optional[list[FusedItem]]:
+    """Search the decision's indices and fuse their non-empty ranked lists.
+
+    ``cliproute query`` and the evaluation runner both retrieve through
+    here. Each distinct text (the query, or each rewrite under
+    ``use_rewrites``) is embedded once, by the first index that needs it;
+    zero vectors are not searched. Returns None when every text embeds to zero.
+    """
+    vectors, lists = {}, []
+    for modality, optimized in decision.selections:
+        index = indices.get(modality.wire)
+        if index is None:
+            raise EvalError(f"missing index for modality {modality.wire!r}")
+        text = optimized if use_rewrites else query.text
+        vec = vectors.get(text)
+        if vec is None:
+            vec = vectors[text] = embed_text(index.embedder, text)
+        if is_zero(vec):
+            continue
+        ranked = search(index, vec, depth)
+        if ranked.items:
+            lists.append(ranked)
+    if not lists:
+        return None if all(map(is_zero, vectors.values())) else []
+    return fuse(lists, fusion_method, depth, rrf_k).items
+
+
 def _rank_for_query(
     query: QueryRecord,
     method: EvalMethod,
@@ -287,50 +322,23 @@ def _rank_for_query(
         if fused is None:
             raise EvalError("all_text evaluation requires the 'fused' index")
         vec = embed_text(fused.embedder, query.text)
-        if is_zero(vec):
-            # All-text accounting treats the fused caption as consuming all
-            # three modalities' content, matching its exhaustive upper-bound
-            # role, even though one physical index is searched.
-            return _QueryOutcome(query, [], float(TOTAL_MODALITIES), None, True)
-        ranked = search(fused, vec, depth)
-        refs = [ref for ref, _ in ranked.items]
-        return _QueryOutcome(query, refs, float(TOTAL_MODALITIES), None, False)
+        unembeddable = is_zero(vec)
+        refs = [] if unembeddable else [ref for ref, _ in search(fused, vec, depth).items]
+        # All-text accounting treats the fused caption as consuming all
+        # three modalities' content, matching its exhaustive upper-bound
+        # role, even though one physical index is searched.
+        return _QueryOutcome(query, refs, float(TOTAL_MODALITIES), None, unembeddable)
 
     if method.kind is MethodKind.ROUTED:
         decision = method.router.route(query)
     elif method.kind is MethodKind.SINGLE:
-        decision = RoutingDecision(
-            selections=[(method.modality, query.text)], origin=Origin.ALL
-        )
+        decision = RoutingDecision([(method.modality, query.text)], Origin.ALL)
     else:  # LATE_FUSION_ALL
-        decision = RoutingDecision(
-            selections=[(m, query.text) for m in MODALITIES], origin=Origin.ALL
-        )
+        decision = AllRouter().route(query)
 
-    lists = []
-    default_vec = None
-    for modality, optimized in decision.selections:
-        index = indices.get(modality.wire)
-        if index is None:
-            raise EvalError(f"missing index for modality {modality.wire!r}")
-        if use_rewrites:
-            vec = embed_text(index.embedder, optimized)
-        else:
-            if default_vec is None:
-                default_vec = embed_text(index.embedder, query.text)
-            vec = default_vec
-        if is_zero(vec):
-            continue
-        lists.append(search(index, vec, depth))
-
-    selected_count = float(len(decision.selections))
-    if not lists:
-        return _QueryOutcome(query, [], selected_count, decision, True)
-    if len(lists) == 1:
-        refs = [ref for ref, _ in lists[0].items]
-    else:
-        refs = fuse(lists, fusion_method, depth, rrf_k).refs
-    return _QueryOutcome(query, refs, selected_count, decision, False)
+    items = retrieve(query, decision, indices, depth, fusion_method, rrf_k, use_rewrites)
+    refs = [item.ref for item in items or ()]
+    return _QueryOutcome(query, refs, float(len(decision.selections)), decision, items is None)
 
 
 def run_evaluation(

@@ -50,7 +50,18 @@ class FusedRanking:
         return [item.ref for item in self.items]
 
 
-def _collect(lists: Sequence[RankedList]) -> dict[ClipRef, dict[Modality, int]]:
+def fuse(
+    lists: Sequence[RankedList],
+    method: FusionMethod,
+    n: int,
+    rrf_k: float = DEFAULT_RRF_K,
+) -> FusedRanking:
+    """Fuse ranked lists by summing each item's per-rank contributions.
+
+    A list holding an item at ``rank`` adds ``n - rank`` (linear) or
+    ``1 / (rrf_k + rank)`` (RRF), in list order. Contributions fall strictly
+    as rank grows, so a single list keeps its own order.
+    """
     if not lists:
         raise FusionError("fusion requires at least one ranked list")
     if len(lists) > 3:
@@ -62,63 +73,53 @@ def _collect(lists: Sequence[RankedList]) -> dict[ClipRef, dict[Modality, int]]:
         if ranked.modality in seen_modalities:
             raise FusionError(f"duplicate modality {ranked.modality.wire!r} in fusion input")
         seen_modalities.add(ranked.modality)
-    ranks: dict[ClipRef, dict[Modality, int]] = {}
+    if method is FusionMethod.LINEAR:
+        max_len = max(len(ranked.items) for ranked in lists)
+        if n < max_len:
+            raise FusionError(f"depth n={n} is smaller than the longest list ({max_len})")
+        depth_n = n
+    else:
+        if rrf_k <= 0:
+            raise FusionError(f"rrf constant must be positive, got {rrf_k}")
+        method, depth_n = FusionMethod.RRF, max(ranked.depth for ranked in lists)
+
+    def contribution(rank: int) -> float:
+        if method is FusionMethod.LINEAR:
+            return float(n - rank)
+        return 1.0 / (rrf_k + rank)
+
+    if len(lists) == 1:
+        (ranked,) = lists
+        items = [
+            FusedItem(ref, contribution(rank), {ranked.modality: rank})
+            for rank, (ref, _score) in enumerate(ranked.items, start=1)
+        ]
+        return FusedRanking(items=items, method=method, depth_n=depth_n)
+
+    by_ref: dict[ClipRef, FusedItem] = {}
     for ranked in lists:
         for rank, (ref, _score) in enumerate(ranked.items, start=1):
-            ranks.setdefault(ref, {})[ranked.modality] = rank
-    return ranks
+            item = by_ref.get(ref)
+            if item is None:
+                by_ref[ref] = FusedItem(ref, contribution(rank), {ranked.modality: rank})
+            else:
+                item.score += contribution(rank)
+                item.provenance[ranked.modality] = rank
 
-
-def _order_items(scored: dict[ClipRef, tuple[float, dict[Modality, int]]]) -> list[FusedItem]:
     # Ties: better best-rank first, then more contributing modalities,
     # then ascending canonical clip id.
-    def sort_key(ref: ClipRef):
-        score, prov = scored[ref]
-        return (-score, min(prov.values()), -len(prov), ref.clip_id)
-
-    return [
-        FusedItem(ref=ref, score=scored[ref][0], provenance=scored[ref][1])
-        for ref in sorted(scored, key=sort_key)
-    ]
+    items = sorted(
+        by_ref.values(),
+        key=lambda i: (-i.score, min(i.provenance.values()), -len(i.provenance), i.ref.clip_id),
+    )
+    return FusedRanking(items=items, method=method, depth_n=depth_n)
 
 
 def linear_fuse(lists: Sequence[RankedList], n: int) -> FusedRanking:
-    """Fuse by summing (n - rank) over the lists containing each item.
-
-    Items missing from a list contribute nothing for it; a single input
-    list reproduces that list's order with scores n - rank.
-    """
-    ranks = _collect(lists)
-    max_len = max((len(ranked.items) for ranked in lists), default=0)
-    if n < max_len:
-        raise FusionError(f"depth n={n} is smaller than the longest list ({max_len})")
-    scored = {
-        ref: (float(sum(n - rank for rank in prov.values())), prov)
-        for ref, prov in ranks.items()
-    }
-    return FusedRanking(items=_order_items(scored), method=FusionMethod.LINEAR, depth_n=n)
+    """Linear fusion: each list contributes (n - rank) to the items it holds."""
+    return fuse(lists, FusionMethod.LINEAR, n)
 
 
 def rrf_fuse(lists: Sequence[RankedList], k_const: float = DEFAULT_RRF_K) -> FusedRanking:
-    """Fuse by summing 1 / (k_const + rank) over contributing lists."""
-    if k_const <= 0:
-        raise FusionError(f"rrf constant must be positive, got {k_const}")
-    ranks = _collect(lists)
-    scored = {
-        ref: (float(sum(1.0 / (k_const + rank) for rank in prov.values())), prov)
-        for ref, prov in ranks.items()
-    }
-    depth = max((ranked.depth for ranked in lists), default=0)
-    return FusedRanking(items=_order_items(scored), method=FusionMethod.RRF, depth_n=depth)
-
-
-def fuse(
-    lists: Sequence[RankedList],
-    method: FusionMethod,
-    n: int,
-    rrf_k: float = DEFAULT_RRF_K,
-) -> FusedRanking:
-    """Dispatch to the configured fusion method."""
-    if method is FusionMethod.LINEAR:
-        return linear_fuse(lists, n)
-    return rrf_fuse(lists, k_const=rrf_k)
+    """Reciprocal rank fusion: each list contributes 1 / (k_const + rank)."""
+    return fuse(lists, FusionMethod.RRF, 0, k_const)

@@ -1,12 +1,13 @@
 """Per-query modality routing.
 
 A router decides which modality indices to search for a query and may
-attach an optimized query string per modality. Four backends share one
-contract: a deterministic keyword rule router, an HTTP chat-completion LLM
-router, a replay router that serves canned LLM transcripts from a fixture,
-and trivial oracle/select-all routers for evaluation baselines. Whatever
-the backend does, the resulting decision is always valid; routing failures
-degrade to selecting all three modalities rather than dropping recall.
+attach an optimized query string per modality. The backends share the
+``Router`` protocol: a deterministic keyword rule router, an HTTP
+chat-completion LLM router, a replay router that serves canned LLM
+transcripts from a fixture, and trivial oracle/select-all routers for
+evaluation baselines; ``make_router`` applies single mode to any of them.
+Whatever the backend does, the resulting decision is always valid; routing
+failures degrade to selecting all three modalities rather than dropping recall.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from .corpus import MODALITIES, Modality, QueryRecord, normalize_text
 
@@ -231,24 +232,17 @@ def constrain_single(decision: RoutingDecision) -> Modality:
     return decision.selections[0][0]
 
 
-def _apply_mode(decision: RoutingDecision, mode: RouterMode) -> RoutingDecision:
-    if mode is RouterMode.SINGLE and len(decision.selections) > 1:
-        return RoutingDecision(
-            selections=decision.selections[:1],
-            origin=decision.origin,
-            raw_response=decision.raw_response,
-        )
-    return decision
+class Router(Protocol):
+    """What every routing backend provides."""
+
+    def route(self, query: QueryRecord) -> RoutingDecision: ...
 
 
 class RuleRouter:
     """Stateless keyword router; safe for unlimited concurrent calls."""
 
-    def __init__(self, config: Optional[RouterConfig] = None) -> None:
-        self.config = config or RouterConfig()
-
     def route(self, query: QueryRecord) -> RoutingDecision:
-        return _apply_mode(rule_route(query.text), self.config.mode)
+        return rule_route(query.text)
 
 
 class OracleRouter:
@@ -258,31 +252,32 @@ class OracleRouter:
     degrades to selecting everything.
     """
 
-    def __init__(self, config: Optional[RouterConfig] = None) -> None:
-        self.config = config or RouterConfig()
-
     def route(self, query: QueryRecord) -> RoutingDecision:
         gold = query.source_as_modality()
-        if gold is None:
-            decision = RoutingDecision(
-                selections=[(m, query.text) for m in MODALITIES], origin=Origin.ORACLE
-            )
-        else:
-            decision = RoutingDecision(selections=[(gold, query.text)], origin=Origin.ORACLE)
-        return _apply_mode(decision, self.config.mode)
+        modalities = list(MODALITIES) if gold is None else [gold]
+        return RoutingDecision(
+            selections=[(m, query.text) for m in modalities], origin=Origin.ORACLE
+        )
 
 
 class AllRouter:
     """Exhaustive-search baseline: always selects all three modalities."""
 
-    def __init__(self, config: Optional[RouterConfig] = None) -> None:
-        self.config = config or RouterConfig()
-
     def route(self, query: QueryRecord) -> RoutingDecision:
-        decision = RoutingDecision(
+        return RoutingDecision(
             selections=[(m, query.text) for m in MODALITIES], origin=Origin.ALL
         )
-        return _apply_mode(decision, self.config.mode)
+
+
+class _SingleModeRouter:
+    """Keeps only the highest-confidence selection of another router's decision."""
+
+    def __init__(self, backend: Router) -> None:
+        self.backend = backend
+
+    def route(self, query: QueryRecord) -> RoutingDecision:
+        decision = self.backend.route(query)
+        return replace(decision, selections=decision.selections[:1])
 
 
 class ReplayRouter:
@@ -305,9 +300,9 @@ class ReplayRouter:
         raw = self._responses.get(query.query_id)
         if raw is None:
             if self.config.fallback_on_error:
-                return _apply_mode(fallback_all_decision(query.text), self.config.mode)
+                return fallback_all_decision(query.text)
             raise RouterError(f"no replay entry for query {query.query_id!r}")
-        return _apply_mode(parse_router_response(raw, query.text), self.config.mode)
+        return parse_router_response(raw, query.text)
 
 
 _RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
@@ -396,30 +391,31 @@ class LlmRouter:
                 last_error = f"malformed response body: {exc}"
                 continue
             self._audit(query, body, str(content), None)
-            decision = parse_router_response(str(content), query.text)
-            return _apply_mode(decision, self.config.mode)
+            return parse_router_response(str(content), query.text)
 
         logger.warning("LLM routing failed for %s: %s", query.query_id, last_error)
         self._audit(query, body, None, last_error)
         if self.config.fallback_on_error:
-            return _apply_mode(fallback_all_decision(query.text), self.config.mode)
+            return fallback_all_decision(query.text)
         raise RouterError(f"LLM routing failed for {query.query_id!r}: {last_error}")
 
 
 ROUTER_BACKENDS = ("rule", "llm", "replay", "oracle", "all")
 
 
-def make_router(config: RouterConfig, session: Optional[requests.Session] = None):
-    """Instantiate the backend named by ``config.backend``."""
+def make_router(config: RouterConfig, session: Optional[requests.Session] = None) -> Router:
+    """Instantiate the backend named by ``config.backend``, in ``config.mode``."""
     backend = config.backend
     if backend == "rule":
-        return RuleRouter(config)
-    if backend == "oracle":
-        return OracleRouter(config)
-    if backend == "all":
-        return AllRouter(config)
-    if backend == "replay":
-        return ReplayRouter(config)
-    if backend == "llm":
-        return LlmRouter(config, session=session)
-    raise RouterError(f"unknown router backend {backend!r}; expected one of {ROUTER_BACKENDS}")
+        router = RuleRouter()
+    elif backend == "oracle":
+        router = OracleRouter()
+    elif backend == "all":
+        router = AllRouter()
+    elif backend == "replay":
+        router = ReplayRouter(config)
+    elif backend == "llm":
+        router = LlmRouter(config, session=session)
+    else:
+        raise RouterError(f"unknown router backend {backend!r}; expected one of {ROUTER_BACKENDS}")
+    return _SingleModeRouter(router) if config.mode is RouterMode.SINGLE else router

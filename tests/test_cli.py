@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from cliproute import embed
 from cliproute.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from cliproute.corpus import load_corpus, load_queries
+from cliproute.corpus import load_corpus, load_queries, normalize_text
+from cliproute.router import ALL_CUE_WORDS, rule_route
 
 
 @pytest.fixture()
@@ -268,6 +270,30 @@ class TestQuery:
     def test_empty_query_usage_error(self, workspace):
         assert main(["query", "--index-dir", str(workspace["index_dir"]), ""]) == EXIT_USAGE
 
+    def test_three_index_query_embeds_its_text_once(self, workspace, capsys, monkeypatch):
+        _gen(workspace)
+        _build(workspace)
+        capsys.readouterr()
+        texts = []
+        original = embed.embed_text
+
+        def counting_embed_text(spec, text):
+            texts.append(text)
+            return original(spec, text)
+
+        # Patch every cliproute module that imported embed_text by name.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cliproute") and getattr(module, "embed_text", None) is original:
+                monkeypatch.setattr(module, "embed_text", counting_embed_text)
+        queries = load_queries(workspace["queries"])
+        text = next(q.text for q in queries if q.source_modality == "asr")
+        cue_free = " ".join(w for w in text.split() if normalize_text(w) not in ALL_CUE_WORDS)
+        assert len(rule_route(cue_free).selections) == 3
+        code = main(["query", "--index-dir", str(workspace["index_dir"]), cue_free])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)
+        assert texts == [cue_free]
+
 
 class TestEvaluate:
     def _evaluate(self, paths, methods, extra=()):
@@ -453,6 +479,19 @@ class TestConfigFile:
         assert main(["route", "--config", str(config), "hello"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "'depth' must be int" in err
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"llm_timeout_s": 0}, {"llm_timeout_s": -1.5}, {"llm_max_retries": 0}],
+        ids=["zero-timeout", "negative-timeout", "zero-retries"],
+    )
+    def test_bad_llm_retry_settings_are_usage_errors(self, tmp_path, capsys, setting):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(setting))
+        assert main(["route", "--config", str(config), "hello"]) == EXIT_USAGE
+        (key,) = setting
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and key in err
 
 
 # Runs CLI commands in a fresh interpreter and reports which HTTP-client

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from cliproute.corpus import ClipRef, MODALITIES, Modality, QueryRecord
-from cliproute.embed import default_spec
+from cliproute.corpus import ClipRef, MODALITIES, Modality, QueryRecord, normalize_text
+from cliproute.embed import default_spec, embed_text, is_zero
 from cliproute.evaluation import (
     EvalError,
     EvalMethod,
@@ -17,12 +17,22 @@ from cliproute.evaluation import (
     ndcg_at_k,
     recall_at_k,
     reciprocal_rank,
+    retrieve,
     routing_stats,
     run_evaluation,
 )
-from cliproute.fusion import FusionMethod
-from cliproute.index import build_fused_index, build_index
-from cliproute.router import Origin, RouterConfig, RoutingDecision, make_router
+from cliproute.fusion import FusionMethod, fuse
+from cliproute.index import build_fused_index, build_index, search
+from cliproute.router import (
+    ALL_CUE_WORDS,
+    AllRouter,
+    Origin,
+    RouterConfig,
+    RouterMode,
+    RoutingDecision,
+    make_router,
+    rule_route,
+)
 from cliproute.synth import generate_synthetic_corpus
 
 
@@ -377,3 +387,94 @@ def test_late_fusion_all_is_exact_on_acceptance_corpus(acceptance_corpus, fusion
     report = run_evaluation(corpus, queries, method, indices, depth=50, fusion_method=fusion)
     assert report.recall_at_1 == 1.0
     assert report.ndcg_at_5 == 1.0
+
+
+def _old_evaluation_refs(query, decision, indices, depth, method, rrf_k, use_rewrites):
+    """The runner's rule before ``retrieve``: one vector per query unless
+    rewriting, zero vectors skipped, a single list taken in its own order."""
+    lists, default_vec = [], None
+    for modality, optimized in decision.selections:
+        index = indices[modality.wire]
+        if use_rewrites:
+            vec = embed_text(index.embedder, optimized)
+        else:
+            if default_vec is None:
+                default_vec = embed_text(index.embedder, query.text)
+            vec = default_vec
+        if not is_zero(vec):
+            lists.append(search(index, vec, depth))
+    if not lists:
+        return None
+    if len(lists) == 1:
+        return [ref for ref, _ in lists[0].items]
+    return fuse(lists, method, depth, rrf_k).refs
+
+
+def _old_query_items(query, decision, indices, depth, method, rrf_k, use_rewrites):
+    """``cliproute query``'s rule before ``retrieve``: embed per index, search
+    every selection, fuse the non-empty lists."""
+    lists = []
+    for modality, optimized in decision.selections:
+        index = indices[modality.wire]
+        text = optimized if use_rewrites else query.text
+        lists.append(search(index, embed_text(index.embedder, text), depth))
+    non_empty = [ranked for ranked in lists if ranked.items]
+    return fuse(non_empty, method, depth, rrf_k).items if non_empty else []
+
+
+def _strip_cues(text):
+    return " ".join(w for w in text.split() if normalize_text(w) not in ALL_CUE_WORDS)
+
+
+def _parity_cases(queries):
+    """(query, decision, use_rewrites) for rule, all and single decisions.
+
+    Synthetic query tokens occur in one modality only, so each clip's three
+    queries are also joined with their cue words removed: the rule router
+    sends that text to all three indices, each of which finds the clip.
+    """
+    single = make_router(RouterConfig(mode=RouterMode.SINGLE))
+    by_clip = {}
+    for query in queries:
+        by_clip.setdefault(query.gold, []).append(query)
+    for group in list(by_clip.values())[::10]:
+        texts = [q.text for q in group]
+        joined = QueryRecord(group[0].query_id + "+", _strip_cues(" ".join(texts)), group[0].gold)
+        for query in group[:1] + [joined]:
+            yield query, rule_route(query.text), False
+            yield query, AllRouter().route(query), False
+            yield query, single.route(query), False
+        rewrites = RoutingDecision(list(zip(MODALITIES, texts)), Origin.LLM)
+        yield joined, rewrites, True
+        # One text for two indices (embedded once) and one that embeds to zero.
+        repeated = [(Modality.ASR, joined.text), (Modality.OCR, joined.text)]
+        yield joined, RoutingDecision(repeated + [(Modality.VISUAL, "?!")], Origin.LLM), True
+    blank = QueryRecord("blank", "?!", queries[0].gold)
+    yield blank, rule_route(blank.text), False
+
+
+@pytest.mark.parametrize("fusion", [FusionMethod.LINEAR, FusionMethod.RRF])
+def test_retrieve_matches_both_paths_it_replaces(acceptance_corpus, fusion):
+    _, queries, indices = acceptance_corpus
+    seen = {"three-list": 0, "unembeddable": 0}
+    for query, decision, use_rewrites in _parity_cases(queries):
+        args = (query, decision, indices, 50, fusion, 60.0, use_rewrites)
+        items = retrieve(*args)
+        old_refs = _old_evaluation_refs(*args)
+        assert (items is None) == (old_refs is None)
+        assert [item.ref for item in items or ()] == (old_refs or [])
+        old_items = _old_query_items(*args)
+        assert [(i.ref, i.score, i.provenance) for i in items or ()] == [
+            (i.ref, i.score, i.provenance) for i in old_items
+        ]
+        seen["three-list"] += any(len(i.provenance) == 3 for i in items or ())
+        seen["unembeddable"] += items is None
+    assert seen["three-list"] >= 300 and seen["unembeddable"] == 1
+
+
+def test_retrieve_rejects_a_missing_index(acceptance_corpus):
+    _, queries, indices = acceptance_corpus
+    partial = {k: v for k, v in indices.items() if k != "ocr"}
+    decision = AllRouter().route(queries[0])
+    with pytest.raises(EvalError, match="'ocr'"):
+        retrieve(queries[0], decision, partial, 50, FusionMethod.LINEAR, 60.0, False)

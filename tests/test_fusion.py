@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliproute.corpus import ClipRef, MODALITIES, Modality
 from cliproute.fusion import (
@@ -150,23 +152,56 @@ def _random_instance(rng):
     return lists, n
 
 
+def _assert_matches_oracle(fused, oracle):
+    assert fused.refs == [ref for ref, _, _ in oracle]
+    assert [i.score for i in fused.items] == [s for _, s, _ in oracle]
+    assert [i.provenance for i in fused.items] == [ranks for _, _, ranks in oracle]
+
+
 class TestOracleEquivalence:
     def test_linear_matches_brute_force_on_random_instances(self):
         rng = random.Random(1234)
         for _ in range(200):
             lists, n = _random_instance(rng)
             fused = linear_fuse(lists, n)
-            oracle = brute_force_fuse(lists, "linear", n)
-            assert fused.refs == [ref for ref, _, _ in oracle]
-            assert [i.score for i in fused.items] == [s for _, s, _ in oracle]
+            _assert_matches_oracle(fused, brute_force_fuse(lists, "linear", n))
 
     def test_rrf_matches_brute_force_on_random_instances(self):
         rng = random.Random(4321)
         for _ in range(200):
             lists, n = _random_instance(rng)
             fused = rrf_fuse(lists, k_const=60.0)
-            oracle = brute_force_fuse(lists, "rrf", n, k_const=60.0)
-            assert fused.refs == [ref for ref, _, _ in oracle]
+            _assert_matches_oracle(fused, brute_force_fuse(lists, "rrf", n, k_const=60.0))
+
+
+@st.composite
+def _fusion_instances(draw):
+    """1-3 lists over a small shared pool, so items overlap and scores tie."""
+    n = draw(st.integers(1, 12))
+    pool = [_ref(i) for i in range(draw(st.integers(1, 15)))]
+    modalities = draw(st.permutations(list(MODALITIES)))[: draw(st.integers(1, 3))]
+    lists = []
+    for modality in modalities:
+        refs = draw(st.lists(st.sampled_from(pool), max_size=min(n, len(pool)), unique=True))
+        depth = draw(st.integers(len(refs), n))
+        lists.append(_ranked(modality, refs, depth))
+    return lists, n
+
+
+class TestOracleProperty:
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        instance=_fusion_instances(),
+        method=st.sampled_from(list(FusionMethod)),
+        rrf_k=st.floats(0.01, 1000.0),
+    )
+    def test_fuse_matches_brute_force(self, instance, method, rrf_k):
+        lists, n = instance
+        fused = fuse(lists, method, n, rrf_k)
+        _assert_matches_oracle(fused, brute_force_fuse(lists, method.value, n, k_const=rrf_k))
+        assert fused.method is method
+        expected_depth = n if method is FusionMethod.LINEAR else max(r.depth for r in lists)
+        assert fused.depth_n == expected_depth
 
 
 class TestDispatch:

@@ -417,3 +417,44 @@ class TestLlmRouter:
         router = make_router(_llm_config(mode=RouterMode.SINGLE), session=session)
         decision = router.route(_query("read the sign"))
         assert decision.modalities == [Modality.OCR]
+
+
+
+def _replay_fixture(tmp_path):
+    path = tmp_path / "replay.jsonl"
+    row = {"query_id": "served", "raw_response": '{"ocr": "a", "visuals": "b"}'}
+    path.write_text(json.dumps(row) + "\n")
+    return str(path)
+
+
+def _llm_router(config):
+    # Each router gets its own session with the same canned reply.
+    reply = _FakeResponse(payload=_chat_payload('{"ocr": "a", "asr": "b"}'))
+    return make_router(config, session=_FakeSession([reply]))
+
+
+_LLM_SETTINGS = dict(backend="llm", base_url="http://llm.test/v1", model="router-model")
+
+# (router settings, query id, query source, router factory). Every case
+# makes a multi-modality decision, so single mode has something to drop.
+_SINGLE_MODE_CASES = {
+    "rule": (dict(backend="rule"), "q1", None, make_router),
+    "oracle": (dict(backend="oracle"), "q1", "dense", make_router),
+    "all": (dict(backend="all"), "q1", None, make_router),
+    "replay-served": (dict(backend="replay"), "served", None, make_router),
+    "replay-missing": (dict(backend="replay"), "missing", None, make_router),
+    "llm": (_LLM_SETTINGS, "q1", None, _llm_router),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SINGLE_MODE_CASES))
+def test_single_mode_keeps_first_selection_on_every_backend(case, tmp_path):
+    settings, query_id, source, factory = _SINGLE_MODE_CASES[case]
+    settings = dict(settings, replay_path=_replay_fixture(tmp_path))
+    query = _query("what does the sign say", query_id=query_id, source=source)
+    multi = factory(RouterConfig(**settings, mode=RouterMode.MULTI)).route(query)
+    single = factory(RouterConfig(**settings, mode=RouterMode.SINGLE)).route(query)
+    assert len(multi.selections) > 1
+    assert single.selections == multi.selections[:1]
+    assert single.origin is multi.origin
+    assert single.raw_response == multi.raw_response
