@@ -21,7 +21,13 @@ from .corpus import (
     save_corpus,
     save_queries,
 )
-from .embed import EmbedderSpec, cosine, default_spec, embed_text, register_embedder
+from .embed import (
+    EmbedderSpec,
+    SparseVector,
+    default_spec,
+    embed_text,
+    register_embedder,
+)
 from .evaluation import (
     EvalMethod,
     EvalReport,
@@ -81,11 +87,11 @@ __all__ = [
     "RouterMode",
     "RoutingDecision",
     "RoutingStats",
+    "SparseVector",
     "build_fused_index",
     "build_index",
     "build_router_prompt",
     "constrain_single",
-    "cosine",
     "cost_reduction",
     "default_spec",
     "embed_text",

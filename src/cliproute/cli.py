@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 import typing
 from dataclasses import dataclass, field, fields
@@ -99,10 +100,10 @@ class RunConfig:
             raise UsageError(f"depth must be >= 10, got {self.depth}")
         if self.fusion not in ("linear", "rrf"):
             raise UsageError(f"fusion must be 'linear' or 'rrf', got {self.fusion!r}")
-        if self.rrf_k <= 0:
-            raise UsageError(f"rrf_k must be positive, got {self.rrf_k}")
-        if self.llm_timeout_s <= 0:
-            raise UsageError(f"llm_timeout_s must be positive, got {self.llm_timeout_s}")
+        if not (math.isfinite(self.rrf_k) and self.rrf_k > 0):
+            raise UsageError(f"rrf_k must be finite and positive, got {self.rrf_k}")
+        if not (math.isfinite(self.llm_timeout_s) and self.llm_timeout_s > 0):
+            raise UsageError(f"llm_timeout_s must be finite and positive, got {self.llm_timeout_s}")
         if self.llm_max_retries < 1:
             raise UsageError(f"llm_max_retries must be >= 1, got {self.llm_max_retries}")
         if self.router not in ROUTER_BACKENDS:

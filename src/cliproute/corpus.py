@@ -118,6 +118,11 @@ def parse_clip_id(s: str) -> ClipRef:
         end = int(end_part)
     except ValueError:
         raise CorpusError(f"clip id {s!r} has a non-integer end {end_part!r}") from None
+    # int() also reads "05", "+5", " 5", "1_0" and non-ASCII digits. Only the
+    # form ClipRef.clip_id writes is accepted, so each clip has one id.
+    if str(start) != start_part or str(end) != end_part:
+        what, part = ("start", start_part) if str(start) != start_part else ("end", end_part)
+        raise CorpusError(f"clip id {s!r} has a non-canonical {what} {part!r}")
     if start < 0:
         raise CorpusError(f"clip id {s!r} has a negative start {start_part!r}")
     if end <= start:

@@ -1,15 +1,17 @@
 """Text embedding abstraction with a deterministic hashed reference embedder.
 
-All embedders produce L2-normalized vectors (or an all-zero sentinel for
-text that normalizes to nothing), so cosine similarity reduces to a dot
-product everywhere downstream. The reference embedder hashes whitespace
-tokens and character trigrams of the normalized text into a fixed number
-of buckets; it exists so the whole pipeline is testable without any
-external model, and real embedders can be plugged in through the registry.
+Every embedder returns a :class:`SparseVector`: the nonzero entries of an
+L2-normalized vector (or no entries at all for text that normalizes to
+nothing), so cosine similarity reduces to a dot product everywhere
+downstream. The reference embedder hashes whitespace tokens and character
+trigrams of the normalized text into a fixed number of buckets; it exists
+so the whole pipeline is testable without any external model, and real
+embedders can be plugged in through the registry.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -20,6 +22,10 @@ from .corpus import normalize_text
 
 DEFAULT_DIM = 4096
 REFERENCE_EMBEDDER = "hashed-trigram"
+
+#: Most words whose buckets the reference embedder keeps, least recently
+#: used first out. A query round of the 1k-clip corpus uses ~3,000 words.
+_WORD_MEMO_SIZE = 4096
 
 #: Parameters recorded in every reference EmbedderSpec so index files are
 #: self-describing. The hash must stay fixed, portable, and non-seeded:
@@ -33,6 +39,20 @@ _REFERENCE_PARAMETERS: Mapping[str, str] = {
 
 class EmbeddingError(ValueError):
     """Raised for invalid embedder specs or mismatched vector dimensions."""
+
+
+@dataclass(frozen=True, eq=False)
+class SparseVector:
+    """A vector of width ``dim`` given by its nonzero entries.
+
+    ``buckets`` are strictly increasing ints in [0, dim) and ``weights`` the
+    float64 values there; every other entry is zero. No buckets marks text
+    that could not be embedded. Treat both arrays as read-only.
+    """
+
+    dim: int
+    buckets: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -80,25 +100,35 @@ def token_bucket(token: str, dim: int) -> int:
     return int.from_bytes(digest, "little") % dim
 
 
-def _hashed_trigram_embed(spec: EmbedderSpec, text: str) -> np.ndarray:
-    normalized = normalize_text(text)
-    vec = np.zeros(spec.dim, dtype=np.float64)
-    if not normalized:
-        return vec
-    for token in normalized.split():
-        vec[token_bucket(token, spec.dim)] += 1.0
-        for i in range(len(token) - 2):
-            vec[token_bucket(token[i : i + 3], spec.dim)] += 1.0
-    norm = float(np.linalg.norm(vec))
-    return vec / norm
+@functools.lru_cache(maxsize=_WORD_MEMO_SIZE)
+def _word_buckets(dim: int, word: str) -> tuple[int, ...]:
+    """Buckets of one word and of each of its character trigrams."""
+    trigrams = (word[i : i + 3] for i in range(len(word) - 2))
+    return (token_bucket(word, dim), *(token_bucket(t, dim) for t in trigrams))
 
 
-_EmbedFn = Callable[[EmbedderSpec, str], np.ndarray]
+def _hashed_trigram_embed(spec: EmbedderSpec, text: str) -> SparseVector:
+    ids = [b for word in normalize_text(text).split() for b in _word_buckets(spec.dim, word)]
+    if not ids:
+        return SparseVector(spec.dim, np.zeros(0, dtype=np.intp), np.zeros(0))
+    counts = np.bincount(ids)
+    buckets = np.flatnonzero(counts)
+    nonzero = counts[buckets]
+    # Integer counts make the sum of squares exact, so each weight is
+    # bit-equal to the dense ``vec / np.linalg.norm(vec)`` entry.
+    return SparseVector(spec.dim, buckets, nonzero / np.sqrt(nonzero @ nonzero))
+
+
+_EmbedFn = Callable[[EmbedderSpec, str], SparseVector]
 _REGISTRY: dict[str, _EmbedFn] = {}
 
 
 def register_embedder(name: str, fn: _EmbedFn) -> None:
-    """Register an embedding backend; it must honor the unit-norm contract."""
+    """Register an embedding backend.
+
+    ``fn(spec, text)`` returns a :class:`SparseVector` of width ``spec.dim``
+    with unit L2 norm, or with no buckets for text it cannot embed.
+    """
     _REGISTRY[name] = fn
 
 
@@ -109,22 +139,46 @@ def registered_embedders() -> tuple[str, ...]:
 register_embedder(REFERENCE_EMBEDDER, _hashed_trigram_embed)
 
 
-def embed_text(spec: EmbedderSpec, text: str) -> np.ndarray:
-    """Embed text into a unit vector (or the zero sentinel for empty text).
+def embed_text(spec: EmbedderSpec, text: str) -> SparseVector:
+    """Embed text into a unit vector (no buckets for unembeddable text).
 
     Deterministic for a fixed (spec, normalized text) pair; texts differing
-    only in case or punctuation embed identically.
+    only in case or punctuation embed identically. A registered embedder's
+    result is checked and a malformed one raises :class:`EmbeddingError`.
     """
-    return _REGISTRY[spec.name](spec, text)
+    fn = _REGISTRY[spec.name]
+    vec = fn(spec, text)
+    if fn is not _hashed_trigram_embed:
+        _check_vector(spec, vec)
+    return vec
 
 
-def is_zero(vec: np.ndarray) -> bool:
-    """True for the all-zero sentinel that marks unembeddable text."""
-    return not bool(np.any(vec))
+def _check_vector(spec: EmbedderSpec, vec: object) -> None:
+    """Reject a registered embedder's result that breaks the SparseVector contract."""
+    name, dim = spec.name, spec.dim
+    if not isinstance(vec, SparseVector) or vec.dim != dim:
+        raise EmbeddingError(f"embedder {name!r} must return a SparseVector of dim {dim}")
+    buckets, weights = vec.buckets, vec.weights
+    if not (
+        isinstance(buckets, np.ndarray)
+        and isinstance(weights, np.ndarray)
+        and buckets.dtype.kind in "iu"
+        and weights.dtype == np.float64
+        and buckets.ndim == 1
+        and buckets.shape == weights.shape
+    ):
+        raise EmbeddingError(
+            f"embedder {name!r} must return 1-D int buckets and float64 weights of one length"
+        )
+    increasing = np.all(buckets[1:] > buckets[:-1])
+    if buckets.size and (buckets[0] < 0 or buckets[-1] >= dim or not increasing):
+        raise EmbeddingError(
+            f"embedder {name!r} returned buckets that do not increase strictly within [0, {dim})"
+        )
+    if not np.all(np.isfinite(weights)) or np.any(weights == 0):
+        raise EmbeddingError(f"embedder {name!r} returned weights that are not finite and nonzero")
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Dot product of two unit vectors; 0 against the zero sentinel."""
-    if u.shape != v.shape:
-        raise EmbeddingError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(np.dot(u, v))
+def is_zero(vec: SparseVector) -> bool:
+    """True for a vector with no buckets, which marks unembeddable text."""
+    return not vec.buckets.size

@@ -287,7 +287,8 @@ def retrieve(
     ``cliproute query`` and the evaluation runner both retrieve through
     here. Each distinct text (the query, or each rewrite under
     ``use_rewrites``) is embedded once, by the first index that needs it;
-    zero vectors are not searched. Returns None when every text embeds to zero.
+    empty vectors are not searched. Returns None when every text embeds to
+    an empty vector.
     """
     vectors, lists = {}, []
     for modality, optimized in decision.selections:

@@ -8,6 +8,7 @@ ties deterministically so reports are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -79,8 +80,8 @@ def fuse(
             raise FusionError(f"depth n={n} is smaller than the longest list ({max_len})")
         depth_n = n
     else:
-        if rrf_k <= 0:
-            raise FusionError(f"rrf constant must be positive, got {rrf_k}")
+        if not (math.isfinite(rrf_k) and rrf_k > 0):
+            raise FusionError(f"rrf constant must be finite and positive, got {rrf_k}")
         method, depth_n = FusionMethod.RRF, max(ranked.depth for ranked in lists)
 
     def contribution(rank: int) -> float:

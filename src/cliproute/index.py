@@ -6,8 +6,8 @@ every sentence embedded, and the sentence vectors mean-pooled into a single
 re-normalized vector per clip. Each clip row keeps only its nonzero entries
 (CSR form); the hashed reference embedder fills about 19 of 4,096 buckets.
 Search scores postings exactly: it gathers the postings of the query's
-nonzero buckets, sums each clip's products in ascending bucket order (bit-equal
-to a sequential dot product), and returns only clips with a positive score.
+buckets, sums each clip's products in ascending bucket order (bit-equal to a
+sequential dot product), and returns only clips with a positive score.
 The on-disk format is versioned, self-describing and checksummed, so files
 round-trip bit-exactly and damaged files are rejected when loaded.
 """
@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .corpus import ClipRef, Corpus, CorpusError, Modality, parse_clip_id
-from .embed import EmbedderSpec, EmbeddingError, embed_text, is_zero
+from .embed import EmbedderSpec, EmbeddingError, SparseVector, embed_text, is_zero
 
 FORMAT_NAME = "cliproute-index"
 FORMAT_VERSION = 2
@@ -107,14 +107,16 @@ def split_sentences(text: str) -> list[str]:
 
 
 def _pool_clip_vector(spec: EmbedderSpec, text: str) -> Optional[np.ndarray]:
-    vectors = []
-    for sentence in split_sentences(text):
-        vec = embed_text(spec, sentence)
-        if not is_zero(vec):
-            vectors.append(vec)
+    vectors = [embed_text(spec, sentence) for sentence in split_sentences(text)]
+    vectors = [vec for vec in vectors if not is_zero(vec)]
     if not vectors:
         return None
-    pooled = np.mean(vectors, axis=0)
+    # Mean and norm run over dense rows: a norm over the nonzeros alone sums
+    # in another order and can change the last bit of a stored weight.
+    rows = np.zeros((len(vectors), spec.dim))
+    for row, vec in zip(rows, vectors):
+        row[vec.buckets] = vec.weights
+    pooled = rows.mean(axis=0)
     norm = float(np.linalg.norm(pooled))
     if norm == 0.0:
         return None
@@ -161,26 +163,23 @@ def build_fused_index(corpus: Corpus, spec: EmbedderSpec) -> ModalityIndex:
     return _build_for_source(corpus, FUSED_SOURCE, spec)
 
 
-def search(index: ModalityIndex, query_vec: np.ndarray, n: int) -> RankedList:
+def search(index: ModalityIndex, vec: SparseVector, n: int) -> RankedList:
     """Exact top-n cosine search over the clips with a positive score.
 
     Ties in score are broken by ascending canonical clip id. A query that
-    shares no bucket with the index, such as the zero sentinel of
+    shares no bucket with the index, such as the empty vector of
     unembeddable text, yields an empty result.
     """
     if n < 1:
         raise IndexingError(f"search depth must be >= 1, got {n}")
-    if query_vec.shape != (index.embedder.dim,):
-        raise EmbeddingError(
-            f"query dim {query_vec.shape} does not match index dim ({index.embedder.dim},)"
-        )
-    query_buckets = np.flatnonzero(query_vec)
-    starts = index._post_ptr[query_buckets]
-    lengths = index._post_ptr[query_buckets + 1] - starts
+    if vec.dim != index.embedder.dim:
+        raise EmbeddingError(f"query dim {vec.dim} does not match index dim {index.embedder.dim}")
+    starts = index._post_ptr[vec.buckets]
+    lengths = index._post_ptr[vec.buckets + 1] - starts
     # Positions of the query buckets' postings, concatenated in bucket order.
     offsets = np.cumsum(lengths) - lengths
     positions = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
-    products = index._post_weights[positions] * np.repeat(query_vec[query_buckets], lengths)
+    products = index._post_weights[positions] * np.repeat(vec.weights, lengths)
     # bincount adds its weights in input order, so each clip's score is summed
     # in ascending bucket order: bit-equal to a sequential dot product.
     scores = np.bincount(index._post_rows[positions], weights=products, minlength=len(index))

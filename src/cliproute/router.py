@@ -192,7 +192,7 @@ def _first_json_object(raw: str) -> Optional[dict]:
             continue
         try:
             obj, _ = decoder.raw_decode(raw, idx)
-        except ValueError:
+        except (ValueError, RecursionError):  # nesting too deep counts as no object
             continue
         if isinstance(obj, dict):
             return obj

@@ -493,6 +493,30 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and key in err
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"rrf_k": float("nan")},
+            {"rrf_k": float("inf")},
+            {"llm_timeout_s": float("nan")},
+            {"llm_timeout_s": float("inf")},
+        ],
+        ids=["nan-rrf-k", "infinite-rrf-k", "nan-timeout", "infinite-timeout"],
+    )
+    def test_non_finite_floats_are_usage_errors(self, tmp_path, capsys, setting):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(setting))  # NaN and Infinity, as json reads them
+        assert main(["route", "--config", str(config), "hello"]) == EXIT_USAGE
+        (key,) = setting
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and key in err and "finite" in err
+
+    def test_nan_rrf_k_flag_is_usage_error(self, tmp_path, capsys):
+        argv = ["query", "--index-dir", str(tmp_path), "--fusion", "rrf", "--rrf-k", "nan", "x"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "rrf_k" in captured.err
+
 
 # Runs CLI commands in a fresh interpreter and reports which HTTP-client
 # modules they loaded. A fresh process is needed because this test session

@@ -5,6 +5,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliproute.corpus import (
     ClipRecord,
@@ -48,6 +50,13 @@ class TestParseClipId:
             ("v__s1__eY", "non-integer end 'Y'"),
             ("v__s-2__e9", "negative start"),
             ("__s1__e2", "empty video id"),
+            ("v__s05__e10", "non-canonical start '05'"),
+            ("v__s0__e010", "non-canonical end '010'"),
+            ("v__s+5__e10", "non-canonical start '+5'"),
+            ("v__s 5__e10", "non-canonical start ' 5'"),
+            ("v__s1_0__e20", "non-canonical start '1_0'"),
+            ("v__s\u0665__e10", "non-canonical start '\u0665'"),
+            ("v__s5__e10 ", "non-canonical end '10 '"),
         ],
     )
     def test_malformed_ids_name_the_offending_segment(self, bad, fragment):
@@ -67,6 +76,35 @@ class TestParseClipId:
             except CorpusError:
                 continue  # charset can produce an empty-looking id; skip
             assert parse_clip_id(ref.clip_id) == ref
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        video=st.text(min_size=1, max_size=20),
+        start=st.integers(0, 10**15),
+        length=st.integers(1, 10**6),
+    )
+    def test_every_valid_ref_round_trips(self, video, start, length):
+        ref = ClipRef(video, start, start + length)
+        assert parse_clip_id(ref.clip_id) == ref
+
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None)
+    @given(
+        st.one_of(
+            st.text(alphabet="_se0159+- \u0665x", max_size=16),
+            st.builds(
+                "{}__s{}__e{}".format,
+                st.text(alphabet="_sex", min_size=1, max_size=4),
+                st.text(alphabet="0159+-_ \u0665\u00b2", min_size=1, max_size=3),
+                st.text(alphabet="0159+-_ \u0665\u00b2", min_size=1, max_size=3),
+            ),
+        )
+    )
+    def test_accepted_ids_are_canonical(self, s):
+        try:
+            ref = parse_clip_id(s)
+        except CorpusError:
+            return
+        assert ref.clip_id == s
 
 
 class TestNormalizeText:

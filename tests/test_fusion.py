@@ -130,6 +130,11 @@ class TestRrfFuse:
         with pytest.raises(FusionError, match="positive"):
             rrf_fuse([_ranked(Modality.ASR, [_ref(1)], 10)], k_const=0)
 
+    @pytest.mark.parametrize("k_const", [float("nan"), float("inf")])
+    def test_non_finite_constant_rejected(self, k_const):
+        with pytest.raises(FusionError, match="finite"):
+            fuse([_ranked(Modality.ASR, [_ref(1)], 10)], FusionMethod.RRF, 10, k_const)
+
     def test_provenance_reconstructs_score(self):
         asr = _ranked(Modality.ASR, [_ref(1), _ref(2)], 10)
         ocr = _ranked(Modality.OCR, [_ref(2), _ref(3)], 10)

@@ -14,6 +14,7 @@ from cliproute.corpus import ClipRecord, ClipRef, Corpus, Modality
 from cliproute.embed import (
     EmbedderSpec,
     EmbeddingError,
+    SparseVector,
     default_spec,
     embed_text,
     register_embedder,
@@ -48,6 +49,13 @@ def _clip(video, start, **fields):
     return ClipRecord(ref=ClipRef(video, start, start + 10), **fields)
 
 
+def _dense(vec):
+    """The full-width vector a SparseVector stands for."""
+    dense = np.zeros(vec.dim)
+    dense[vec.buckets] = vec.weights
+    return dense
+
+
 def _dense_rows(index):
     """The index's stored rows as a dense (len, dim) matrix."""
     dense = np.zeros((len(index), index.embedder.dim))
@@ -61,7 +69,7 @@ def _full_width_scores(dense_rows, query):
     return np.cumsum(dense_rows * query, axis=1)[:, -1]
 
 
-def _oracle(index, dense_rows, query, n):
+def _oracle(index, dense_rows, vec, n):
     """Dense reference search: sequential dot products, a full sort by
     (-score, clip id), positive scores only, then the first n.
 
@@ -70,6 +78,7 @@ def _oracle(index, dense_rows, query, n):
     cheaper at dim 4096, and test_oracle_sums_equal_full_width_sums checks
     it against :func:`_full_width_scores`.
     """
+    query = _dense(vec)
     support = np.flatnonzero(query)
     if not support.size:
         return []
@@ -81,15 +90,29 @@ def _oracle(index, dense_rows, query, n):
 
 
 def _dense_embed(spec, text):
-    """A registered embedder whose vectors are dense and partly negative."""
+    """A registered embedder whose vectors fill every bucket, partly negative."""
     hashed = embed_text(default_spec(spec.dim), text)
-    if not hashed.any():
+    if not hashed.buckets.size:
         return hashed
-    vec = hashed + 0.05 * np.cos(np.arange(spec.dim) + len(text))
-    return vec / np.linalg.norm(vec)
+    vec = _dense(hashed) + 0.05 * np.cos(np.arange(spec.dim) + len(text))
+    return SparseVector(spec.dim, np.arange(spec.dim), vec / np.linalg.norm(vec))
 
 
 register_embedder("test-dense", _dense_embed)
+
+
+def _assert_rows_equal_dense_pooling(index, corpus):
+    """Each stored row against the dense pooling oracle: the mean of the
+    clip's full-width sentence vectors, divided by the norm of the
+    full-width pooled row, then its nonzeros, bit for bit."""
+    texts = {clip.ref: clip.text_for(index.source) for clip in corpus}
+    for i, ref in enumerate(index.clip_refs):
+        vectors = [_dense(embed_text(index.embedder, s)) for s in split_sentences(texts[ref])]
+        pooled = np.mean([v for v in vectors if v.any()], axis=0)
+        pooled = pooled / float(np.linalg.norm(pooled))
+        lo, hi = index.indptr[i], index.indptr[i + 1]
+        assert np.array_equal(index.buckets[lo:hi], np.flatnonzero(pooled))
+        assert index.weights[lo:hi].tobytes() == pooled[pooled != 0].tobytes()
 
 
 class TestBuildIndex:
@@ -125,15 +148,15 @@ class TestBuildIndex:
     def test_one_sentence_document_equals_sentence_vector(self, spec):
         corpus = _corpus(_clip("a", 0, asr_text="hello there friend"))
         index = build_index(corpus, Modality.ASR, spec)
-        expected = embed_text(spec, "hello there friend")
+        expected = _dense(embed_text(spec, "hello there friend"))
         assert np.allclose(_dense_rows(index)[0], expected, atol=1e-12)
 
     def test_two_sentence_document_matches_mean_pool_oracle(self, spec):
         corpus = _corpus(_clip("a", 0, asr_text="hello there. goodbye now!"))
         index = build_index(corpus, Modality.ASR, spec)
         # Hand-rolled oracle: embed each sentence, average, re-normalize.
-        v1 = embed_text(spec, "hello there")
-        v2 = embed_text(spec, "goodbye now")
+        v1 = _dense(embed_text(spec, "hello there"))
+        v2 = _dense(embed_text(spec, "goodbye now"))
         pooled = (v1 + v2) / 2.0
         pooled = pooled / np.linalg.norm(pooled)
         assert np.allclose(_dense_rows(index)[0], pooled, atol=1e-12)
@@ -155,12 +178,38 @@ class TestBuildIndex:
         )
         index = build_index(corpus, Modality.ASR, spec)
         for i, clip in enumerate(corpus):
-            vectors = [embed_text(spec, s) for s in split_sentences(clip.asr_text)]
+            vectors = [_dense(embed_text(spec, s)) for s in split_sentences(clip.asr_text)]
             pooled = np.mean(vectors, axis=0)
             pooled = pooled / float(np.linalg.norm(pooled))
             lo, hi = index.indptr[i], index.indptr[i + 1]
             assert np.array_equal(index.buckets[lo:hi], np.flatnonzero(pooled))
             assert np.array_equal(index.weights[lo:hi], pooled[pooled != 0])
+
+    @pytest.mark.parametrize("source", INDEX_SOURCES)
+    def test_rows_equal_dense_pooling_on_the_session_corpus(self, acceptance_corpus, source):
+        corpus, _, indices = acceptance_corpus
+        assert len(indices[source]) >= 600
+        _assert_rows_equal_dense_pooling(indices[source], corpus)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(
+            st.lists(st.sampled_from(_WORDS + ["!", "x.", "ab.", "?"]), min_size=1, max_size=12),
+            min_size=1,
+            max_size=20,
+        ),
+        embedder=st.sampled_from(["hashed-trigram", "test-dense"]),
+        dim=st.sampled_from([16, 64, 4096]),
+    )
+    def test_rows_equal_dense_pooling_on_generated_sentences(self, texts, embedder, dim):
+        corpus = _corpus(
+            *[
+                _clip(f"v{i:02d}", 0, asr_text=" ".join(t), visual_caption="scene")
+                for i, t in enumerate(texts)
+            ]
+        )
+        spec = default_spec(dim) if embedder == "hashed-trigram" else EmbedderSpec(embedder, dim)
+        _assert_rows_equal_dense_pooling(build_index(corpus, Modality.ASR, spec), corpus)
 
     def test_split_sentences(self):
         assert split_sentences("One. Two! Three?") == ["One", " Two", " Three"]
@@ -199,7 +248,7 @@ class TestSearch:
         index = build_index(corpus, Modality.ASR, spec)
         query = embed_text(spec, "zzz")
         stored = set(index.buckets.tolist())
-        assert not stored & set(np.flatnonzero(query).tolist())
+        assert not stored & set(np.flatnonzero(_dense(query)).tolist())
         assert search(index, query, 10).items == []
 
     def test_only_positive_scores_are_returned(self, spec):
@@ -239,7 +288,7 @@ class TestSearch:
             oracle = []
             for clip in corpus:
                 vec = embed_text(spec, clip.asr_text)
-                score = float(sum(a * b for a, b in zip(query, vec)))
+                score = float(sum(a * b for a, b in zip(_dense(query), _dense(vec))))
                 oracle.append((clip.ref, score))
             oracle.sort(key=lambda item: (-item[1], item[0].clip_id))
             oracle = [(ref, score) for ref, score in oracle if score > 0]
@@ -295,7 +344,7 @@ class TestSearchParity:
         index = indices[source]
         dense = _dense_rows(index)
         for query in queries[5::300]:
-            vec = embed_text(index.embedder, query.text)
+            vec = _dense(embed_text(index.embedder, query.text))
             support = np.flatnonzero(vec)
             full = _full_width_scores(dense, vec)
             assert np.array_equal(_full_width_scores(dense[:, support], vec[support]), full)

@@ -6,6 +6,8 @@ import random
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliproute.corpus import ClipRef, MODALITIES, Modality, QueryRecord
 from cliproute.router import (
@@ -197,6 +199,35 @@ class TestParseRouterResponse:
             decision = parse_router_response(raw, "query text")
             assert 1 <= len(decision.selections) <= 3
             assert len(set(decision.modalities)) == len(decision.modalities)
+
+    def test_nesting_deeper_than_the_decoder_allows_is_no_object(self):
+        raw = '{"asr": ' + "[" * 100000 + "]" * 100000 + "}"
+        decision = parse_router_response(raw, "orig")
+        assert decision.origin is Origin.FALLBACK_ALL
+        assert decision.modalities == list(MODALITIES)
+        # An object after the too-deep text is still found.
+        decision = parse_router_response('{"a": ' * 1500 + ' {"ocr": "sign"}', "orig")
+        assert decision.selections == [(Modality.OCR, "sign")]
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        raw=st.one_of(
+            st.text(),
+            st.text(alphabet='{}[]":, \\asrocvisual0'),
+            st.builds(
+                lambda head, unit, depth, tail: head + unit * depth + tail,
+                st.sampled_from(["", '{"asr": ', 'x {"ocr": ']),
+                st.sampled_from(["[", '{"a": ', '{"asr": [']),
+                st.sampled_from([0, 3, 1200]),
+                st.text(alphabet='{}[]":, asr', max_size=20),
+            ),
+        )
+    )
+    def test_never_raises_on_any_text(self, raw):
+        decision = parse_router_response(raw, "query text")
+        assert 1 <= len(decision.selections) <= 3
+        assert len(set(decision.modalities)) == len(decision.modalities)
+        assert all(optimized.strip() for _, optimized in decision.selections)
 
 
 class TestConstrainSingle:
