@@ -93,6 +93,11 @@ class ClipRef:
         return self.clip_id
 
 
+#: A canonical clip id: ASCII decimal boundaries with no leading zero. The
+#: greedy video id leaves the last ``__s`` and ``__e`` as the markers.
+_CANONICAL_ID_RE = re.compile(r"(.+)__s(0|[1-9][0-9]*)__e(0|[1-9][0-9]*)", re.DOTALL)
+
+
 def parse_clip_id(s: str) -> ClipRef:
     """Parse a canonical clip id, splitting on the LAST ``__s`` and ``__e``.
 
@@ -100,6 +105,13 @@ def parse_clip_id(s: str) -> ClipRef:
     even ``__s``/``__e`` sequences; only the trailing markers delimit the
     temporal extent.
     """
+    # One regex match accepts every valid id; the checks below only run to
+    # name what is wrong with an invalid one.
+    match = _CANONICAL_ID_RE.fullmatch(s)
+    if match is not None:
+        start, end = int(match[2]), int(match[3])
+        if end > start:
+            return ClipRef(match[1], start, end)
     if not s:
         raise CorpusError("empty clip id")
     head, sep, end_part = s.rpartition("__e")

@@ -14,13 +14,15 @@ round-trip bit-exactly and damaged files are rejected when loaded.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import json
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -68,18 +70,25 @@ class ModalityIndex:
     buckets: np.ndarray  # (nnz,) uint32 bucket ids
     weights: np.ndarray  # (nnz,) float64 row values
     build_stats: BuildStats
+    #: ``clip_refs``' canonical ids, passed by a caller that already holds
+    #: them; otherwise they are formatted from the refs.
+    clip_ids: InitVar[Optional[list[str]]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, clip_ids: Optional[list[str]]) -> None:
         # Bucket-major postings: bucket b's rows (ascending) and weights sit
         # at [_post_ptr[b], _post_ptr[b + 1]) of _post_rows / _post_weights.
         rows = np.repeat(np.arange(len(self.clip_refs)), np.diff(self.indptr))
-        order = np.argsort(self.buckets, kind="stable")
+        # Keys of the narrowest type that holds every bucket id: numpy sorts
+        # keys of up to 16 bits stably by radix, several times faster than
+        # uint32 keys, and any stable sort gives the same order.
+        keys = self.buckets.astype(np.min_scalar_type(self.embedder.dim - 1))
+        order = np.argsort(keys, kind="stable")
         self._post_rows = rows[order]
         self._post_weights = self.weights[order]
         self._post_ptr = np.zeros(self.embedder.dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.buckets, minlength=self.embedder.dim), out=self._post_ptr[1:])
         # Rank of each clip id in sorted order drives the deterministic tie-break.
-        ids = [ref.clip_id for ref in self.clip_refs]
+        ids = clip_ids if clip_ids is not None else [ref.clip_id for ref in self.clip_refs]
         self._id_rank = np.empty(len(ids), dtype=np.int64)
         self._id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
 
@@ -240,10 +249,31 @@ def load_index(path: str | Path) -> ModalityIndex:
     altered one, raises :class:`IndexingError`.
     """
     path = Path(path)
+    data = path.read_bytes()
     try:
-        return _decode(path.read_bytes())
+        with _gc_paused():
+            return _decode(data)
     except IndexingError as exc:
         raise IndexingError(f"{path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, if it is on, for the body.
+
+    A decode makes one ClipRef per clip, all kept and none in a cycle. With
+    the collector on, they set off collections that scan the caller's whole
+    heap, at points that depend on what the caller allocated before, so the
+    time of one load would depend on the process and not on the file.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _decode(data: bytes) -> ModalityIndex:
@@ -277,6 +307,7 @@ def _decode(data: bytes) -> ModalityIndex:
     if dim != spec.dim:
         raise IndexingError(f"header dim {dim} does not match embedder dim {spec.dim}")
 
+    ids: list[str] = []
     refs: list[ClipRef] = []
     lengths: list[int] = []
     bucket_parts: list[bytes] = []
@@ -292,7 +323,8 @@ def _decode(data: bytes) -> ModalityIndex:
         if offset > len(payload):
             raise IndexingError(f"entry {len(refs)} runs past the end of the file")
         try:
-            refs.append(parse_clip_id(payload[id_end - id_len : id_end].decode("utf-8")))
+            ids.append(payload[id_end - id_len : id_end].decode("utf-8"))
+            refs.append(parse_clip_id(ids[-1]))
         except (UnicodeDecodeError, CorpusError) as exc:
             raise IndexingError(f"entry {len(refs)}: bad clip id: {exc}") from None
         lengths.append(row_nnz)
@@ -321,4 +353,5 @@ def _decode(data: bytes) -> ModalityIndex:
         buckets=buckets,
         weights=weights,
         build_stats=stats,
+        clip_ids=ids,
     )

@@ -106,6 +106,29 @@ class TestParseClipId:
             return
         assert ref.clip_id == s
 
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None)
+    @given(
+        st.builds(
+            "{}__s{}__e{}".format,
+            st.text(alphabet="_sex0\n", min_size=0, max_size=8),
+            st.text(alphabet="0159_sex", min_size=0, max_size=4),
+            st.text(alphabet="0159_sex", min_size=0, max_size=4),
+        )
+    )
+    def test_agrees_with_the_last_marker_split(self, s):
+        # The regex that accepts valid ids must accept exactly the ids the
+        # split on the last markers and its checks accept, with equal refs.
+        head, _, end_part = s.rpartition("__e")
+        video_id, _, start_part = head.rpartition("__s")
+        canonical = [part.isascii() and part.isdigit() and str(int(part)) == part
+                     for part in (start_part, end_part)]
+        valid = bool(video_id) and all(canonical) and int(end_part) > int(start_part)
+        if valid:
+            assert parse_clip_id(s) == ClipRef(video_id, int(start_part), int(end_part))
+        else:
+            with pytest.raises(CorpusError):
+                parse_clip_id(s)
+
 
 class TestNormalizeText:
     def test_casing_and_punctuation(self):

@@ -1,5 +1,6 @@
 """Tests for index construction, search, and serialization."""
 
+import gc
 import hashlib
 import json
 import random
@@ -539,6 +540,45 @@ class TestSerialization:
         path.write_bytes(_signed(*corrupt(*_split(path.read_bytes()))))
         with pytest.raises(IndexingError, match=message):
             load_index(path)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("damaged", [False, True])
+    def test_load_leaves_the_collector_as_it_found_it(self, tmp_path, spec, enabled, damaged):
+        path = _saved(tmp_path, spec)
+        if damaged:
+            path.write_bytes(path.read_bytes()[:-1])
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if damaged:
+                with pytest.raises(IndexingError):
+                    load_index(path)
+            else:
+                load_index(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("dim", [512, 70_000])
+    def test_loaded_postings_and_id_ranks_equal_the_built_ones(self, tmp_path, dim):
+        # 70,000 buckets do not fit the 16-bit sort keys; 512 do. Clip ids
+        # of the refs sort as "v__s10" < "v__s9", unlike the refs.
+        corpus = _corpus(*(
+            _clip("v", start, asr_text=" ".join(_WORDS[start % 7 : start % 7 + 5]))
+            for start in (9, 10, 0, 90, 100, 3)
+        ))
+        index = build_index(corpus, Modality.ASR, default_spec(dim=dim))
+        save_index(index, tmp_path / "asr.idx")
+        loaded = load_index(tmp_path / "asr.idx")
+        order = np.argsort(index.buckets.astype(np.int64), kind="stable")
+        rows = np.repeat(np.arange(len(index)), np.diff(index.indptr))
+        ids = [ref.clip_id for ref in index.clip_refs]
+        rank = [sorted(ids).index(clip_id) for clip_id in ids]
+        for built in (index, loaded):
+            assert np.array_equal(built._post_rows, rows[order])
+            assert np.array_equal(built._post_weights, index.weights[order])
+            assert built._post_ptr[-1] == len(index.buckets)
+            assert built._id_rank.tolist() == rank
 
     def test_reformatted_header_rejected(self, tmp_path, spec):
         # The same JSON values with other whitespace, as a flipped space
