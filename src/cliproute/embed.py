@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -108,15 +109,15 @@ def _word_buckets(dim: int, word: str) -> tuple[int, ...]:
 
 
 def _hashed_trigram_embed(spec: EmbedderSpec, text: str) -> SparseVector:
-    ids = [b for word in normalize_text(text).split() for b in _word_buckets(spec.dim, word)]
-    if not ids:
-        return SparseVector(spec.dim, np.zeros(0, dtype=np.intp), np.zeros(0))
-    counts = np.bincount(ids)
-    buckets = np.flatnonzero(counts)
-    nonzero = counts[buckets]
+    dim = spec.dim
+    counts = Counter(b for word in normalize_text(text).split() for b in _word_buckets(dim, word))
+    if not counts:
+        return SparseVector(dim, np.zeros(0, dtype=np.intp), np.zeros(0))
+    buckets = sorted(counts)
+    nonzero = np.array([counts[b] for b in buckets])
     # Integer counts make the sum of squares exact, so each weight is
     # bit-equal to the dense ``vec / np.linalg.norm(vec)`` entry.
-    return SparseVector(spec.dim, buckets, nonzero / np.sqrt(nonzero @ nonzero))
+    return SparseVector(dim, np.array(buckets, dtype=np.intp), nonzero / np.sqrt(nonzero @ nonzero))
 
 
 _EmbedFn = Callable[[EmbedderSpec, str], SparseVector]

@@ -52,8 +52,12 @@ def graded_relevance(candidate: ClipRef, gold: ClipRef) -> float:
 _IDEAL_RELS = (1.0, 0.5)
 
 
+def _gain(rank: int, rel: float) -> float:
+    return (2.0 ** rel - 1.0) / math.log2(rank + 1)
+
+
 def _dcg(rels: Sequence[float]) -> float:
-    return sum((2.0 ** rel - 1.0) / math.log2(i + 1) for i, rel in enumerate(rels, start=1))
+    return sum(_gain(rank, rel) for rank, rel in enumerate(rels, start=1))
 
 
 def ndcg_at_k(ranking: Sequence[ClipRef], gold: ClipRef, k: int) -> float:
@@ -141,9 +145,9 @@ def routing_stats(
     mean_selected = sum(len(d.selections) for d in decisions) / len(decisions)
 
     labeled = [
-        (d, Modality.from_wire(s))
+        (d, gold)
         for d, s in zip(decisions, sources)
-        if s is not None and Modality.from_wire(s) is not None
+        if s is not None and (gold := Modality.from_wire(s)) is not None
     ]
     if not labeled:
         return None
@@ -342,6 +346,26 @@ def _rank_for_query(
     return _QueryOutcome(query, refs, float(len(decision.selections)), decision, items is None)
 
 
+def _gold_rank_and_gains(
+    ranking: Sequence[ClipRef], gold: ClipRef
+) -> tuple[float, list[tuple[int, float]]]:
+    """The gold's first 1-based rank at any depth (inf when absent), and the
+    (rank, DCG gain) of each relevant clip in the top 10, in rank order."""
+    gains, gold_rank = [], math.inf
+    for rank, ref in enumerate(ranking[:10], start=1):
+        rel = graded_relevance(ref, gold)
+        if rel:
+            gains.append((rank, _gain(rank, rel)))
+            if rel == 1.0 and gold_rank == math.inf:
+                gold_rank = rank
+    if gold_rank == math.inf:
+        try:
+            gold_rank = ranking.index(gold, 10) + 1
+        except ValueError:
+            pass
+    return gold_rank, gains
+
+
 def run_evaluation(
     corpus: Corpus,
     queries: Sequence[QueryRecord],
@@ -389,19 +413,22 @@ def run_evaluation(
             unembeddable_queries=0,
         )
 
+    # One scan per ranking; each metric below equals its oracle function
+    # (recall_at_k, reciprocal_rank, ndcg_at_k) bit for bit.
+    idcg5, idcg10 = _dcg(_IDEAL_RELS[:5]), _dcg(_IDEAL_RELS[:10])
     sums = {"r1": 0.0, "r5": 0.0, "r10": 0.0, "rr": 0.0, "n5": 0.0, "n10": 0.0}
     source_groups: dict[str, list[tuple[int, float]]] = {}
     category_groups: dict[str, list[tuple[int, float]]] = {}
     unembeddable = 0
     for outcome in outcomes:
-        gold = outcome.query.gold
-        r5 = recall_at_k(outcome.ranking, gold, 5)
-        sums["r1"] += recall_at_k(outcome.ranking, gold, 1)
+        gold_rank, gains = _gold_rank_and_gains(outcome.ranking, outcome.query.gold)
+        r5 = int(gold_rank <= 5)
+        sums["r1"] += int(gold_rank == 1)
         sums["r5"] += r5
-        sums["r10"] += recall_at_k(outcome.ranking, gold, 10)
-        sums["rr"] += reciprocal_rank(outcome.ranking, gold)
-        sums["n5"] += ndcg_at_k(outcome.ranking, gold, 5)
-        sums["n10"] += ndcg_at_k(outcome.ranking, gold, 10)
+        sums["r10"] += int(gold_rank <= 10)
+        sums["rr"] += 1.0 / gold_rank  # 0.0 for an absent gold
+        sums["n5"] += min(1.0, sum(gain for rank, gain in gains if rank <= 5) / idcg5)
+        sums["n10"] += min(1.0, sum(gain for _, gain in gains) / idcg10)
         unembeddable += int(outcome.unembeddable)
         source = outcome.query.source_modality or "unlabeled"
         category = outcome.query.category or "uncategorized"

@@ -74,8 +74,8 @@ def fuse(
         if ranked.modality in seen_modalities:
             raise FusionError(f"duplicate modality {ranked.modality.wire!r} in fusion input")
         seen_modalities.add(ranked.modality)
+    max_len = max(len(ranked.items) for ranked in lists)
     if method is FusionMethod.LINEAR:
-        max_len = max(len(ranked.items) for ranked in lists)
         if n < max_len:
             raise FusionError(f"depth n={n} is smaller than the longest list ({max_len})")
         depth_n = n
@@ -84,16 +84,19 @@ def fuse(
             raise FusionError(f"rrf constant must be finite and positive, got {rrf_k}")
         method, depth_n = FusionMethod.RRF, max(ranked.depth for ranked in lists)
 
-    def contribution(rank: int) -> float:
-        if method is FusionMethod.LINEAR:
-            return float(n - rank)
-        return 1.0 / (rrf_k + rank)
+    # contribution[rank - 1] is what a list adds for an item at ``rank``.
+    ranks = range(1, max_len + 1)
+    if method is FusionMethod.LINEAR:
+        contribution = [float(n - rank) for rank in ranks]
+    else:
+        contribution = [1.0 / (rrf_k + rank) for rank in ranks]
 
     if len(lists) == 1:
         (ranked,) = lists
+        modality = ranked.modality
         items = [
-            FusedItem(ref, contribution(rank), {ranked.modality: rank})
-            for rank, (ref, _score) in enumerate(ranked.items, start=1)
+            FusedItem(ref, score, {modality: rank})
+            for rank, ((ref, _), score) in enumerate(zip(ranked.items, contribution), start=1)
         ]
         return FusedRanking(items=items, method=method, depth_n=depth_n)
 
@@ -102,9 +105,9 @@ def fuse(
         for rank, (ref, _score) in enumerate(ranked.items, start=1):
             item = by_ref.get(ref)
             if item is None:
-                by_ref[ref] = FusedItem(ref, contribution(rank), {ranked.modality: rank})
+                by_ref[ref] = FusedItem(ref, contribution[rank - 1], {ranked.modality: rank})
             else:
-                item.score += contribution(rank)
+                item.score += contribution[rank - 1]
                 item.provenance[ranked.modality] = rank
 
     # Ties: better best-rank first, then more contributing modalities,

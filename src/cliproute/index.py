@@ -20,7 +20,7 @@ import hashlib
 import json
 import re
 import struct
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -73,8 +73,11 @@ class ModalityIndex:
     #: ``clip_refs``' canonical ids, passed by a caller that already holds
     #: them; otherwise they are formatted from the refs.
     clip_ids: InitVar[Optional[list[str]]] = None
+    #: The modality this index serves; None for the fused-caption index.
+    modality: Optional[Modality] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, clip_ids: Optional[list[str]]) -> None:
+        self.modality = Modality.from_wire(self.source)
         # Bucket-major postings: bucket b's rows (ascending) and weights sit
         # at [_post_ptr[b], _post_ptr[b + 1]) of _post_rows / _post_weights.
         rows = np.repeat(np.arange(len(self.clip_refs)), np.diff(self.indptr))
@@ -95,11 +98,6 @@ class ModalityIndex:
     def __len__(self) -> int:
         return len(self.clip_refs)
 
-    @property
-    def modality(self) -> Optional[Modality]:
-        """The modality this index serves; None for the fused-caption index."""
-        return Modality.from_wire(self.source)
-
 
 @dataclass
 class RankedList:
@@ -115,40 +113,54 @@ def split_sentences(text: str) -> list[str]:
     return [part for part in _SENTENCE_SPLIT_RE.split(text) if part.strip()]
 
 
-def _pool_clip_vector(spec: EmbedderSpec, text: str) -> Optional[np.ndarray]:
+def _pool_clip_vector(
+    spec: EmbedderSpec, text: str
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The (buckets, weights) of the normalized mean of the text's sentence
+    vectors, bit-equal to pooling full-width rows; None if nothing remains."""
     vectors = [embed_text(spec, sentence) for sentence in split_sentences(text)]
     vectors = [vec for vec in vectors if not is_zero(vec)]
     if not vectors:
         return None
-    # Mean and norm run over dense rows: a norm over the nonzeros alone sums
-    # in another order and can change the last bit of a stored weight.
-    rows = np.zeros((len(vectors), spec.dim))
-    for row, vec in zip(rows, vectors):
-        row[vec.buckets] = vec.weights
-    pooled = rows.mean(axis=0)
+    buckets = np.concatenate([vec.buckets for vec in vectors], dtype=np.intp)
+    # bincount adds each column's weights in sentence order, as the dense
+    # row-by-row mean does; the absent 0.0 terms it skips change no sum.
+    pooled = np.bincount(
+        buckets, weights=np.concatenate([vec.weights for vec in vectors]), minlength=spec.dim
+    )
+    # The sorted union of the sentence buckets. intp keeps the fancy indexing
+    # below cast-free; np.unique would import numpy.ma (~1 MB) on first use.
+    support = np.array(sorted(set(buckets.tolist())), dtype=np.intp)
+    # Dividing only the support by k leaves the rest at 0.0, as 0.0 / k is.
+    means = pooled[support] / len(vectors)
+    pooled[support] = means
+    # The norm runs over the full-width row: a norm over the nonzeros alone
+    # sums in another order and can change the last bit of a stored weight.
     norm = float(np.linalg.norm(pooled))
     if norm == 0.0:
         return None
-    return pooled / norm
+    weights = means / norm
+    # Signed sentence weights can cancel to 0.0, and no stored weight is 0.
+    nonzero = weights != 0
+    return support[nonzero], weights[nonzero]
 
 
 def _build_for_source(corpus: Corpus, source: str, spec: EmbedderSpec) -> ModalityIndex:
     refs: list[ClipRef] = []
     # A leading empty row keeps concatenate valid for an empty index and makes
     # the cumulative row lengths start at 0, as indptr does.
-    row_buckets: list[np.ndarray] = [np.zeros(0, dtype=np.uint32)]
+    row_buckets: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
     row_weights: list[np.ndarray] = [np.zeros(0, dtype=np.float64)]
     skipped = 0
     for clip in corpus:
         text = clip.text_for(source)
-        vector = _pool_clip_vector(spec, text) if text else None
-        if vector is None:
+        row = _pool_clip_vector(spec, text) if text else None
+        if row is None:
             skipped += 1
             continue
-        nonzero = np.flatnonzero(vector)
         refs.append(clip.ref)
-        row_buckets.append(nonzero.astype(np.uint32))
-        row_weights.append(vector[nonzero])
+        row_buckets.append(row[0])
+        row_weights.append(row[1])
     indptr = np.cumsum([len(b) for b in row_buckets], dtype=np.int64)
     stats = BuildStats(indexed=len(refs), skipped=skipped, empty=not refs)
     return ModalityIndex(
@@ -156,7 +168,7 @@ def _build_for_source(corpus: Corpus, source: str, spec: EmbedderSpec) -> Modali
         embedder=spec,
         clip_refs=refs,
         indptr=indptr,
-        buckets=np.concatenate(row_buckets),
+        buckets=np.concatenate(row_buckets).astype(np.uint32),
         weights=np.concatenate(row_weights),
         build_stats=stats,
     )
@@ -194,7 +206,8 @@ def search(index: ModalityIndex, vec: SparseVector, n: int) -> RankedList:
     scores = np.bincount(index._post_rows[positions], weights=products, minlength=len(index))
     hits = np.flatnonzero(scores > 0)
     top = hits[np.lexsort((index._id_rank[hits], -scores[hits]))[:n]]
-    items = [(index.clip_refs[i], float(scores[i])) for i in top]
+    refs = index.clip_refs
+    items = [(refs[i], score) for i, score in zip(top.tolist(), scores[top].tolist())]
     return RankedList(modality=index.modality, items=items, depth=n)
 
 
@@ -217,15 +230,18 @@ def save_index(index: ModalityIndex, path: str | Path) -> None:
     float64 weights. The header's ``sha256`` covers the rest of the header
     and the payload. Writing the same index twice produces identical bytes.
     """
-    parts = []
-    for i, ref in enumerate(index.clip_refs):
-        lo, hi = index.indptr[i], index.indptr[i + 1]
+    # Byte views of the little-endian arrays: each entry's rows are copied
+    # from them straight into the payload, its only copy.
+    buckets = memoryview(np.ascontiguousarray(index.buckets, dtype="<u4").view(np.uint8))
+    weights = memoryview(np.ascontiguousarray(index.weights, dtype="<f8").view(np.uint8))
+    indptr = index.indptr.tolist()
+    payload = bytearray()
+    for ref, lo, hi in zip(index.clip_refs, indptr, indptr[1:]):
         id_bytes = ref.clip_id.encode("utf-8")
-        parts.append(_ENTRY_HEAD.pack(len(id_bytes), hi - lo))
-        parts.append(id_bytes)
-        parts.append(index.buckets[lo:hi].astype("<u4").tobytes())
-        parts.append(index.weights[lo:hi].astype("<f8").tobytes())
-    payload = b"".join(parts)
+        payload += _ENTRY_HEAD.pack(len(id_bytes), hi - lo)
+        payload += id_bytes
+        payload += buckets[4 * lo : 4 * hi]
+        payload += weights[8 * lo : 8 * hi]
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,

@@ -3,10 +3,22 @@
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cliproute.corpus import ClipRef, MODALITIES, Modality, QueryRecord, normalize_text
+from cliproute import evaluation
+from cliproute.corpus import (
+    ClipRecord,
+    ClipRef,
+    Corpus,
+    MODALITIES,
+    Modality,
+    QueryRecord,
+    normalize_text,
+)
 from cliproute.embed import default_spec, embed_text, is_zero
 from cliproute.evaluation import (
     EvalError,
@@ -21,7 +33,7 @@ from cliproute.evaluation import (
     routing_stats,
     run_evaluation,
 )
-from cliproute.fusion import FusionMethod, fuse
+from cliproute.fusion import FusedItem, FusionMethod, fuse
 from cliproute.index import build_fused_index, build_index, search
 from cliproute.router import (
     ALL_CUE_WORDS,
@@ -127,6 +139,97 @@ class TestRecallAndRr:
         rankings = [[gold], [_ref("x", 0), gold], [_ref("x", 0)]]
         values = [reciprocal_rank(r, gold) for r in rankings]
         assert sum(values) / len(values) == pytest.approx(0.5, abs=1e-12)
+
+
+#: Starts of clips adjacent to a gold clip that starts at 20 s (within 10 s),
+#: and of one clip just past that window.
+_ADJACENT_STARTS = (10, 12, 15, 20, 25, 30)
+_NEAR_MISS_START = 31
+
+
+@st.composite
+def _ranking_case(draw, query_no):
+    """A ranking for gold ``ClipRef(f"g{query_no}", 20, 30)``: the gold absent,
+    at rank 1, 2-5, 6-10 or past 10, with 0-3 adjacent clips placed before it
+    and 0-3 after it (anywhere when it is absent), among distractors."""
+    video = f"g{query_no}"
+    gold = ClipRef(video, 20, 30)
+    gold_rank = draw(
+        st.one_of(
+            st.none(),
+            st.just(1),
+            st.integers(2, 5),
+            st.integers(6, 10),
+            st.integers(11, 40),
+        )
+    )
+    fillers = draw(st.integers(0, 45))
+    ranking = [ClipRef(f"x{query_no}_{i}", 0, 10) for i in range(max(fillers, gold_rank or 0))]
+    if draw(st.booleans()):
+        ranking.insert(draw(st.integers(0, len(ranking))), ClipRef(video, _NEAR_MISS_START, 41))
+    adjacent = [
+        ClipRef(video, start, start + 7)  # ends differ from the gold's
+        for start in draw(st.permutations(_ADJACENT_STARTS))
+    ]
+    before, after = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if gold_rank is not None:
+        ranking.insert(gold_rank - 1, gold)
+    at = ranking.index(gold) if gold in ranking else None
+    for ref in adjacent[:before]:
+        position = draw(st.integers(0, at if at is not None else len(ranking)))
+        ranking.insert(position, ref)
+        at = at + 1 if at is not None else None
+    for ref in adjacent[before : before + after]:
+        low = at + 1 if at is not None else 0
+        ranking.insert(draw(st.integers(low, len(ranking))), ref)
+    return gold, ranking
+
+
+@st.composite
+def _ranking_cases(draw):
+    return [draw(_ranking_case(i)) for i in range(draw(st.integers(1, 6)))]
+
+
+class TestAggregation:
+    """run_evaluation's one-scan aggregation against the per-metric oracles."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(cases=_ranking_cases())
+    def test_report_fields_equal_the_oracle_sums(self, cases):
+        queries = [
+            QueryRecord(f"q{i:02d}", "anything", gold, category=("a", "b")[i % 2])
+            for i, (gold, _) in enumerate(cases)
+        ]
+        corpus = Corpus.from_records([ClipRecord(ref=q.gold, visual_caption="x") for q in queries])
+        rankings = {q.query_id: ranking for q, (_, ranking) in zip(queries, cases)}
+
+        def fake_retrieve(query, *_):
+            return [FusedItem(ref, 1.0, {}) for ref in rankings[query.query_id]]
+
+        method = EvalMethod(kind=MethodKind.SINGLE, modality=Modality.ASR)
+        with mock.patch.object(evaluation, "retrieve", fake_retrieve):
+            report = run_evaluation(corpus, list(reversed(queries)), method, {})
+
+        sums = dict.fromkeys(["r1", "r5", "r10", "rr", "n5", "n10"], 0.0)
+        for gold, ranking in cases:
+            sums["r1"] += recall_at_k(ranking, gold, 1)
+            sums["r5"] += recall_at_k(ranking, gold, 5)
+            sums["r10"] += recall_at_k(ranking, gold, 10)
+            sums["rr"] += reciprocal_rank(ranking, gold)
+            sums["n5"] += ndcg_at_k(ranking, gold, 5)
+            sums["n10"] += ndcg_at_k(ranking, gold, 10)
+        n = len(cases)
+        got = [
+            report.recall_at_1, report.recall_at_5, report.recall_at_10,
+            report.mrr, report.ndcg_at_5, report.ndcg_at_10,
+        ]
+        want = [sums[key] / n for key in ("r1", "r5", "r10", "rr", "n5", "n10")]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        for category in ("a", "b"):
+            picked = [c for i, c in enumerate(cases) if ("a", "b")[i % 2] == category]
+            if picked:
+                r5 = sum(recall_at_k(ranking, gold, 5) for gold, ranking in picked) / len(picked)
+                assert report.by_category[category].recall_at_5.hex() == r5.hex()
 
 
 class TestCostReduction:

@@ -102,6 +102,16 @@ def _dense_embed(spec, text):
 register_embedder("test-dense", _dense_embed)
 
 
+def _signed_embed(spec, text):
+    """A registered embedder whose sentences "up" and "down" hold bucket 1
+    with opposite signs, so a clip saying both pools it to exactly 0.0."""
+    buckets, weights = {"up": ([1, 3], [0.6, 0.8]), "down": ([1, 5], [-0.6, 0.8])}[text.strip()]
+    return SparseVector(spec.dim, np.array(buckets), np.array(weights))
+
+
+register_embedder("test-signed", _signed_embed)
+
+
 def _assert_rows_equal_dense_pooling(index, corpus):
     """Each stored row against the dense pooling oracle: the mean of the
     clip's full-width sentence vectors, divided by the norm of the
@@ -211,6 +221,49 @@ class TestBuildIndex:
         )
         spec = default_spec(dim) if embedder == "hashed-trigram" else EmbedderSpec(embedder, dim)
         _assert_rows_equal_dense_pooling(build_index(corpus, Modality.ASR, spec), corpus)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        clips=st.lists(
+            st.lists(
+                st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5), min_size=2, max_size=40
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        embedder=st.sampled_from(["hashed-trigram", "test-dense"]),
+        dim=st.sampled_from([16, 64, 4096]),
+    )
+    def test_rows_equal_dense_pooling_over_many_sentences(self, clips, embedder, dim):
+        corpus = _corpus(
+            *[
+                _clip(
+                    f"v{i:02d}",
+                    0,
+                    asr_text=". ".join(" ".join(words) for words in sentences),
+                    visual_caption="scene",
+                )
+                for i, sentences in enumerate(clips)
+            ]
+        )
+        assert all(len(split_sentences(clip.asr_text)) >= 2 for clip in corpus)
+        spec = default_spec(dim) if embedder == "hashed-trigram" else EmbedderSpec(embedder, dim)
+        _assert_rows_equal_dense_pooling(build_index(corpus, Modality.ASR, spec), corpus)
+
+    def test_weights_that_cancel_to_zero_are_not_stored(self, tmp_path):
+        corpus = _corpus(
+            _clip("a", 0, asr_text="up. down"),
+            _clip("b", 0, asr_text="down. up. up"),
+        )
+        index = build_index(corpus, Modality.ASR, EmbedderSpec("test-signed", 16))
+        assert index.buckets[: index.indptr[1]].tolist() == [3, 5]
+        assert index.buckets[index.indptr[1] :].tolist() == [1, 3, 5]
+        _assert_rows_equal_dense_pooling(index, corpus)
+        save_index(index, tmp_path / "asr.idx")
+        loaded = load_index(tmp_path / "asr.idx")
+        assert np.array_equal(loaded.indptr, index.indptr)
+        assert np.array_equal(loaded.buckets, index.buckets)
+        assert loaded.weights.tobytes() == index.weights.tobytes()
 
     def test_split_sentences(self):
         assert split_sentences("One. Two! Three?") == ["One", " Two", " Three"]
@@ -453,7 +506,31 @@ def _edit_first_id(edit):
     return corrupt
 
 
+def _per_entry_payload(index):
+    """The payload as save_index wrote it before it sliced byte views: two
+    numpy conversions and two copies per entry."""
+    parts = []
+    for i, ref in enumerate(index.clip_refs):
+        lo, hi = index.indptr[i], index.indptr[i + 1]
+        id_bytes = ref.clip_id.encode("utf-8")
+        parts.append(struct.pack("<II", len(id_bytes), hi - lo))
+        parts.append(id_bytes)
+        parts.append(index.buckets[lo:hi].astype("<u4").tobytes())
+        parts.append(index.weights[lo:hi].astype("<f8").tobytes())
+    return b"".join(parts)
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("source", INDEX_SOURCES)
+    def test_file_equals_the_per_entry_writer_on_the_session_corpus(
+        self, acceptance_corpus, tmp_path, source
+    ):
+        index = acceptance_corpus[2][source]
+        save_index(index, tmp_path / "index.idx")
+        data = (tmp_path / "index.idx").read_bytes()
+        header, _ = _split(data)
+        assert data == _signed(header, _per_entry_payload(index))
+
     def test_round_trip_is_exact(self, tmp_path, spec):
         corpus = _corpus(
             _clip("a", 0, asr_text="first one. second part."),
