@@ -416,82 +416,63 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cliproute", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    toggle = argparse.BooleanOptionalAction
 
-    def add_common(p: _Parser) -> None:
+    def command(name: str, summary: str, router: bool = False, retrieval: bool = False) -> _Parser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--fusion", choices=["linear", "rrf"], default=None)
-        p.add_argument("--rrf-k", dest="rrf_k", type=float, default=None)
-        p.add_argument(
-            "--router", choices=list(ROUTER_BACKENDS), default=None, help="router backend"
-        )
-        p.add_argument("--router-mode", dest="router_mode", choices=["multi", "single"], default=None)
-        p.add_argument(
-            "--fallback-on-error",
-            dest="fallback_on_error",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-        )
-        p.add_argument("--replay-fixture", dest="replay_fixture", default=None)
-        p.add_argument("--audit-log", dest="audit_log", default=None)
-        p.add_argument("--llm-base-url", dest="llm_base_url", default=None)
-        p.add_argument("--llm-model", dest="llm_model", default=None)
-        p.add_argument("--embedder", default=None, help="registered embedder name")
-        p.add_argument("--dim", type=int, default=None)
-        p.add_argument("--out", default=None)
+        if router:
+            p.add_argument("--router", choices=list(ROUTER_BACKENDS), help="router backend")
+            p.add_argument("--router-mode", choices=["multi", "single"])
+            p.add_argument("--fallback-on-error", action=toggle)
+            p.add_argument("--replay-fixture")
+            p.add_argument("--audit-log")
+            p.add_argument("--llm-base-url")
+            p.add_argument("--llm-model")
+        if retrieval:
+            p.add_argument("--index-dir")
+            p.add_argument("--depth", type=int)
+            p.add_argument("--fusion", choices=["linear", "rrf"])
+            p.add_argument("--rrf-k", type=float)
+            p.add_argument("--use-rewrites", action=toggle)
+        return p
 
-    gen = sub.add_parser("gen-corpus", help="write a seeded synthetic corpus + queries")
-    add_common(gen)
-    gen.add_argument("--videos", dest="n_videos", type=int, default=None)
-    gen.add_argument("--clips-per-video", dest="clips_per_video", type=int, default=None)
+    gen = command("gen-corpus", "write a seeded synthetic corpus + queries")
+    gen.add_argument("--seed", type=int)
+    gen.add_argument("--videos", dest="n_videos", type=int)
+    gen.add_argument("--clips-per-video", type=int)
     gen.add_argument("--corpus", help="output corpus JSONL path")
     gen.add_argument("--queries", help="output queries JSONL path")
 
-    build = sub.add_parser("build-index", help="build per-modality vector indices")
-    add_common(build)
-    build.add_argument("--corpus", default=None)
-    build.add_argument("--index-dir", dest="index_dir", default=None)
+    build = command("build-index", "build per-modality vector indices")
+    build.add_argument("--corpus")
+    build.add_argument("--index-dir")
+    build.add_argument("--embedder", help="registered embedder name")
+    build.add_argument("--dim", type=int)
     build.add_argument(
         "--fused",
         dest="build_fused",
-        action=argparse.BooleanOptionalAction,
-        default=None,
+        action=toggle,
         help="also build the fused-caption index (default on)",
     )
 
-    route_p = sub.add_parser("route", help="route one query and print the decision")
-    add_common(route_p)
+    route_p = command("route", "route one query and print the decision", router=True)
     route_p.add_argument("text", help="query text")
 
-    query_p = sub.add_parser("query", help="route, search, fuse, and print results")
-    add_common(query_p)
-    query_p.add_argument("--index-dir", dest="index_dir", default=None)
-    query_p.add_argument(
-        "--use-rewrites",
-        dest="use_rewrites",
-        action=argparse.BooleanOptionalAction,
-        default=None,
+    query_p = command(
+        "query", "route, search, fuse, and print results", router=True, retrieval=True
     )
     query_p.add_argument("text", help="query text")
 
-    eval_p = sub.add_parser("evaluate", help="run the evaluation suite")
-    add_common(eval_p)
-    eval_p.add_argument("--corpus", default=None)
-    eval_p.add_argument("--queries", default=None)
-    eval_p.add_argument("--index-dir", dest="index_dir", default=None)
+    eval_p = command("evaluate", "run the evaluation suite", router=True, retrieval=True)
+    eval_p.add_argument("--corpus")
+    eval_p.add_argument("--queries")
     eval_p.add_argument(
         "--methods",
-        default=None,
         help="comma list: late_fusion_all, all_text, single:<modality>, routed:<backend>",
     )
-    eval_p.add_argument("--csv-out", dest="csv_out", default=None)
-    eval_p.add_argument(
-        "--use-rewrites",
-        dest="use_rewrites",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-    )
+    eval_p.add_argument("--out")
+    eval_p.add_argument("--csv-out")
     return parser
 
 

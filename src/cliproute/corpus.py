@@ -252,6 +252,13 @@ class Corpus:
         return stats
 
 
+def _optional_str(obj: dict, key: str, line_no: int) -> Optional[str]:
+    value = obj.get(key)
+    if value is not None and not isinstance(value, str):
+        raise CorpusError(f"line {line_no}: field {key!r} must be a string or null")
+    return value
+
+
 def _clip_from_json(obj: dict, line_no: int) -> ClipRecord:
     if not isinstance(obj, dict):
         raise CorpusError(f"line {line_no}: expected a JSON object")
@@ -262,18 +269,16 @@ def _clip_from_json(obj: dict, line_no: int) -> ClipRecord:
         ref = parse_clip_id(clip_id)
     except CorpusError as exc:
         raise CorpusError(f"line {line_no}: {exc}") from None
-    fields = {}
-    for key, attr in (
-        ("category", "category"),
-        ("asr", "asr_text"),
-        ("ocr", "ocr_text"),
-        ("visual", "visual_caption"),
-        ("fused", "fused_caption"),
-    ):
-        value = obj.get(key)
-        if value is not None and not isinstance(value, str):
-            raise CorpusError(f"line {line_no}: field {key!r} must be a string or null")
-        fields[attr] = value
+    fields = {
+        attr: _optional_str(obj, key, line_no)
+        for key, attr in (
+            ("category", "category"),
+            ("asr", "asr_text"),
+            ("ocr", "ocr_text"),
+            ("visual", "visual_caption"),
+            ("fused", "fused_caption"),
+        )
+    }
     record = ClipRecord(ref=ref, **fields)
     try:
         record.validate()
@@ -336,14 +341,16 @@ def load_queries(path: str | Path) -> list[QueryRecord]:
             gold_id = obj.get("gold_clip_id")
             if not isinstance(gold_id, str):
                 raise CorpusError(f"line {line_no}: missing 'gold_clip_id'")
+            source_modality = _optional_str(obj, "source_modality", line_no)
+            category = _optional_str(obj, "category", line_no)
             try:
                 gold = parse_clip_id(gold_id)
                 record = QueryRecord(
                     query_id=query_id,
                     text=text,
                     gold=gold,
-                    source_modality=obj.get("source_modality"),
-                    category=obj.get("category"),
+                    source_modality=source_modality,
+                    category=category,
                 )
             except CorpusError as exc:
                 raise CorpusError(f"line {line_no}: {exc}") from None

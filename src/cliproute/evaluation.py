@@ -13,7 +13,7 @@ searches per query relative to exhaustive three-modality search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
@@ -110,16 +110,6 @@ class RoutingStats:
     #: predicted single modality. Rows with no queries are all zero.
     confusion: dict[str, dict[str, float]]
     labeled_queries: int
-
-    def to_dict(self) -> dict:
-        return {
-            "hit_rate": self.hit_rate,
-            "mean_selected": self.mean_selected,
-            "micro_f1": self.micro_f1,
-            "coverage_error": self.coverage_error,
-            "confusion": self.confusion,
-            "labeled_queries": self.labeled_queries,
-        }
 
 
 def _coverage_position(decision: RoutingDecision, gold: Modality) -> int:
@@ -220,13 +210,6 @@ class BreakdownRow:
     recall_at_5: float
     mean_selected: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n_queries": self.n_queries,
-            "recall_at_5": self.recall_at_5,
-            "mean_selected": self.mean_selected,
-        }
-
 
 @dataclass
 class EvalReport:
@@ -249,23 +232,7 @@ class EvalReport:
     legend: str = NDCG_LEGEND
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "n_queries": self.n_queries,
-            "recall_at_1": self.recall_at_1,
-            "recall_at_5": self.recall_at_5,
-            "recall_at_10": self.recall_at_10,
-            "mrr": self.mrr,
-            "ndcg_at_5": self.ndcg_at_5,
-            "ndcg_at_10": self.ndcg_at_10,
-            "mean_selected": self.mean_selected,
-            "cost_reduction": self.cost_reduction,
-            "routing": self.routing.to_dict() if self.routing else None,
-            "unembeddable_queries": self.unembeddable_queries,
-            "by_source": {k: v.to_dict() for k, v in self.by_source.items()},
-            "by_category": {k: v.to_dict() for k, v in self.by_category.items()},
-            "legend": self.legend,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -20,7 +20,7 @@ import hashlib
 import json
 import re
 import struct
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -51,7 +51,7 @@ class BuildStats:
     empty: bool = False
 
     def to_dict(self) -> dict:
-        return {"indexed": self.indexed, "skipped": self.skipped, "empty": self.empty}
+        return asdict(self)
 
 
 @dataclass

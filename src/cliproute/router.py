@@ -104,7 +104,6 @@ class RouterConfig:
     model: Optional[str] = None
     timeout_s: float = 30.0
     max_retries: int = 3
-    backoff_s: float = 0.5
     replay_path: Optional[str] = None
     audit_path: Optional[str] = None
 
@@ -178,11 +177,6 @@ def router_instructions() -> str:
     return (
         resources.files("cliproute").joinpath("assets").joinpath(_PROMPT_ASSET).read_text("utf-8")
     )
-
-
-def build_router_prompt(text: str) -> str:
-    """Full routing prompt: instruction template plus the verbatim query."""
-    return f"{router_instructions()}\nUser query: {text}\n"
 
 
 def _first_json_object(raw: str) -> Optional[dict]:
@@ -289,11 +283,20 @@ class ReplayRouter:
             raise RouterError("replay backend requires a replay fixture path")
         self._responses: dict[str, str] = {}
         with Path(config.replay_path).open("r", encoding="utf-8") as handle:
-            for line in handle:
+            for line_no, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
-                obj = json.loads(line)
+                where = f"{config.replay_path}:{line_no}"
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:
+                    raise RouterError(f"{where}: invalid JSON ({exc})") from None
+                if not isinstance(obj, dict):
+                    raise RouterError(f"{where}: expected a JSON object")
+                missing = [key for key in ("query_id", "raw_response") if key not in obj]
+                if missing:
+                    raise RouterError(f"{where}: missing {', '.join(map(repr, missing))}")
                 self._responses[str(obj["query_id"])] = str(obj["raw_response"])
 
     def route(self, query: QueryRecord) -> RoutingDecision:
@@ -306,6 +309,8 @@ class ReplayRouter:
 
 
 _RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
+#: Seconds before the first retry; each further retry waits twice as long.
+_BACKOFF_S = 0.5
 
 
 class LlmRouter:
@@ -319,12 +324,7 @@ class LlmRouter:
     backends never pay for loading an HTTP client.
     """
 
-    def __init__(
-        self,
-        config: RouterConfig,
-        session: Optional[requests.Session] = None,
-        sleep=time.sleep,
-    ) -> None:
+    def __init__(self, config: RouterConfig, session: Optional[requests.Session] = None) -> None:
         self.config = config
         self.base_url = config.base_url or os.environ.get(ENV_BASE_URL)
         self.model = config.model or os.environ.get(ENV_MODEL)
@@ -335,7 +335,7 @@ class LlmRouter:
         import requests
 
         self._session = session or requests.Session()
-        self._sleep = sleep
+        self._sleep = time.sleep
         self._instructions = router_instructions()
 
     def _headers(self) -> dict[str, str]:
@@ -371,7 +371,7 @@ class LlmRouter:
         last_error = "no attempt made"
         for attempt in range(max(1, self.config.max_retries)):
             if attempt:
-                self._sleep(self.config.backoff_s * 2 ** (attempt - 1))
+                self._sleep(_BACKOFF_S * 2 ** (attempt - 1))
             try:
                 response = self._session.post(
                     url, json=body, headers=self._headers(), timeout=self.config.timeout_s

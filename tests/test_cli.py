@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -10,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from cliproute import embed
-from cliproute.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from cliproute.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _build_parser, main
 from cliproute.corpus import load_corpus, load_queries, normalize_text
+from cliproute.index import load_index
 from cliproute.router import ALL_CUE_WORDS, rule_route
 
 
@@ -204,6 +207,26 @@ class TestRoute:
         decision = json.loads(out_lines[0])
         assert list(decision) == ["asr", "ocr", "visuals"]
         assert out_lines[1] == "origin: fallback_all"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"query_id": "cli", ', "invalid JSON"),
+            ('["cli", "{}"]', "expected a JSON object"),
+            ('{"raw_response": "{}"}', "missing 'query_id'"),
+            ('{"query_id": "cli"}', "missing 'raw_response'"),
+        ],
+        ids=["not-json", "not-an-object", "no-query-id", "no-raw-response"],
+    )
+    def test_malformed_replay_fixture_is_runtime_error(self, tmp_path, capsys, line, message):
+        fixture = tmp_path / "replay.jsonl"
+        good = json.dumps({"query_id": "other", "raw_response": "{}"})
+        fixture.write_text(f"{good}\n\n{line}\n")
+        code = main(["route", "--router", "replay", "--replay-fixture", str(fixture), "x"])
+        assert code == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {fixture}:3: {message}")
 
     def test_empty_query_is_usage_error(self, capsys):
         assert main(["route", "   "]) == EXIT_USAGE
@@ -516,6 +539,97 @@ class TestConfigFile:
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == "" and "rrf_k" in captured.err
+
+    def test_one_config_file_drives_every_command(self, workspace, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "corpus": str(workspace["corpus"]),
+                    "queries": str(workspace["queries"]),
+                    "index_dir": str(workspace["index_dir"]),
+                    "seed": 4,
+                    "n_videos": 3,
+                    "clips_per_video": 2,
+                    "dim": 64,
+                    "depth": 20,
+                    "fusion": "rrf",
+                    "router": "rule",
+                    "router_mode": "single",
+                    "methods": ["routed", "single:ocr"],
+                    "out": str(workspace["report"]),
+                    "csv_out": str(workspace["csv"]),
+                }
+            )
+        )
+        run = ["--config", str(config)]
+        assert main(["gen-corpus", *run]) == EXIT_OK
+        assert len(load_corpus(workspace["corpus"])) == 6
+        assert main(["build-index", *run]) == EXIT_OK
+        assert load_index(workspace["index_dir"] / "asr.idx").embedder.dim == 64
+        capsys.readouterr()
+        assert main(["query", *run, "what does the sign say"]) == EXIT_OK
+        results = json.loads(capsys.readouterr().out)
+        assert {key for r in results for key, rank in r["provenance"].items() if rank} == {"ocr"}
+        assert main(["evaluate", *run]) == EXIT_OK
+        report = json.loads(workspace["report"].read_text())
+        assert [r["method"] for r in report["reports"]] == ["routed", "single:ocr"]
+        assert workspace["csv"].is_file()
+
+
+def _readme_flag_table() -> dict[str, set[str]]:
+    """Command -> flags, as the README's Configuration table lists them."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 2 or not cells[0].startswith("`"):
+            continue
+        flags = set()
+        for flag in re.findall(r"`(--[^`]+)`", cells[1]):
+            if flag.startswith("--[no-]"):
+                flags.add("--no-" + flag[len("--[no-]") :])
+                flag = "--" + flag[len("--[no-]") :]
+            flags.add(flag)
+        table[cells[0].strip("`")] = flags
+    return table
+
+
+class TestCommandSurface:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-index", "--fusion", "rrf"],
+            ["gen-corpus", "--out", "x"],
+            ["gen-corpus", "--router", "all"],
+            ["route", "--depth", "10", "hello"],
+            ["query", "--dim", "64", "hello"],
+            ["query", "--out", "x", "hello"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: unrecognized arguments")
+
+    def test_readme_flag_table_matches_the_parser(self):
+        (commands,) = [
+            action
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        registered = {
+            name: {
+                flag
+                for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+                for flag in action.option_strings
+            }
+            for name, parser in commands.choices.items()
+        }
+        assert _readme_flag_table() == registered
 
 
 # Runs CLI commands in a fresh interpreter and reports which HTTP-client

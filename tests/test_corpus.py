@@ -284,6 +284,22 @@ class TestLoadQueries:
         with pytest.raises(CorpusError, match="line 1"):
             load_queries(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("source_modality", 5), ("category", ["a"]), ("category", 7)],
+        ids=["int-source", "list-category", "int-category"],
+    )
+    def test_non_string_label_rejected(self, tmp_path, field, value):
+        path = tmp_path / "q.jsonl"
+        rows = [
+            {"query_id": "q1", "text": "x", "gold_clip_id": "v__s0__e10"},
+            {"query_id": "q2", "text": "y", "gold_clip_id": "v__s0__e10", field: value},
+        ]
+        _write_corpus_lines(path, rows)
+        message = f"line 2: field '{field}' must be a string or null"
+        with pytest.raises(CorpusError, match=message):
+            load_queries(path)
+
 
 class TestSyntheticGenerator:
     def test_counts(self):

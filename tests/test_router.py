@@ -16,11 +16,11 @@ from cliproute.router import (
     RouterError,
     RouterMode,
     RoutingDecision,
-    build_router_prompt,
     constrain_single,
     fallback_all_decision,
     make_router,
     parse_router_response,
+    router_instructions,
     rule_route,
 )
 
@@ -118,16 +118,9 @@ class TestRoutingDecisionInvariants:
 
 class TestRouterPrompt:
     def test_wire_names_appear_exactly_once_in_schema(self):
-        prompt = build_router_prompt("anything")
+        prompt = router_instructions()
         for wire in ("asr", "ocr", "visuals"):
             assert prompt.count(f'"{wire}"') == 1
-
-    def test_contains_verbatim_query(self):
-        text = "Who says 'stop right there'?"
-        assert text in build_router_prompt(text)
-
-    def test_rendering_is_deterministic(self):
-        assert build_router_prompt("x") == build_router_prompt("x")
 
 
 NOISY_TRANSCRIPTS = [
@@ -343,7 +336,6 @@ def _llm_config(**overrides):
         base_url="http://llm.test/v1",
         model="router-model",
         max_retries=3,
-        backoff_s=0.01,
     )
     defaults.update(overrides)
     return RouterConfig(**defaults)
@@ -380,7 +372,7 @@ class TestLlmRouter:
         decision = router.route(_query("read the sign"))
         assert decision.modalities == [Modality.OCR]
         assert len(session.calls) == 3
-        assert sleeps == [0.01, 0.02]
+        assert sleeps == [0.5, 1.0]
 
     def test_exhausted_retries_fall_back_to_all(self):
         session = _FakeSession([_FakeResponse(status_code=500)] * 3)
