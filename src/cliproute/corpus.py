@@ -287,74 +287,77 @@ def _clip_from_json(obj: dict, line_no: int) -> ClipRecord:
     return record
 
 
+def read_lines(
+    path: str | Path, error: type[Exception] = CorpusError
+) -> Iterator[tuple[int, str]]:
+    """Yield (line number, stripped line) for each non-blank line of a UTF-8
+    text file; a file that is not UTF-8 raises ``error`` naming it."""
+    try:
+        with Path(path).open("r", encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                line = line.strip()
+                if line:
+                    yield line_no, line
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a JSONL corpus file.
 
     Rejects duplicate clip ids and reports schema violations with their
     line numbers.
     """
-    path = Path(path)
     clips: dict[ClipRef, ClipRecord] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-            record = _clip_from_json(obj, line_no)
-            if record.ref in clips:
-                raise CorpusError(
-                    f"line {line_no}: duplicate clip id {record.ref.clip_id!r}"
-                )
-            clips[record.ref] = record
+    for line_no, line in read_lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+        record = _clip_from_json(obj, line_no)
+        if record.ref in clips:
+            raise CorpusError(f"line {line_no}: duplicate clip id {record.ref.clip_id!r}")
+        clips[record.ref] = record
     return Corpus(clips=clips)
 
 
 def load_queries(path: str | Path) -> list[QueryRecord]:
     """Load a JSONL queries file; gold ids are parsed but resolved at eval time."""
-    path = Path(path)
     queries: list[QueryRecord] = []
     seen_ids: set[str] = set()
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict):
-                raise CorpusError(f"line {line_no}: expected a JSON object")
-            query_id = obj.get("query_id")
-            if not isinstance(query_id, str) or not query_id:
-                raise CorpusError(f"line {line_no}: missing or invalid 'query_id'")
-            if query_id in seen_ids:
-                raise CorpusError(f"line {line_no}: duplicate query id {query_id!r}")
-            seen_ids.add(query_id)
-            text = obj.get("text")
-            if not isinstance(text, str) or not text.strip():
-                raise CorpusError(f"line {line_no}: query {query_id!r} has empty text")
-            gold_id = obj.get("gold_clip_id")
-            if not isinstance(gold_id, str):
-                raise CorpusError(f"line {line_no}: missing 'gold_clip_id'")
-            source_modality = _optional_str(obj, "source_modality", line_no)
-            category = _optional_str(obj, "category", line_no)
-            try:
-                gold = parse_clip_id(gold_id)
-                record = QueryRecord(
-                    query_id=query_id,
-                    text=text,
-                    gold=gold,
-                    source_modality=source_modality,
-                    category=category,
-                )
-            except CorpusError as exc:
-                raise CorpusError(f"line {line_no}: {exc}") from None
-            queries.append(record)
+    for line_no, line in read_lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+        if not isinstance(obj, dict):
+            raise CorpusError(f"line {line_no}: expected a JSON object")
+        query_id = obj.get("query_id")
+        if not isinstance(query_id, str) or not query_id:
+            raise CorpusError(f"line {line_no}: missing or invalid 'query_id'")
+        if query_id in seen_ids:
+            raise CorpusError(f"line {line_no}: duplicate query id {query_id!r}")
+        seen_ids.add(query_id)
+        text = obj.get("text")
+        if not isinstance(text, str) or not text.strip():
+            raise CorpusError(f"line {line_no}: query {query_id!r} has empty text")
+        gold_id = obj.get("gold_clip_id")
+        if not isinstance(gold_id, str):
+            raise CorpusError(f"line {line_no}: missing 'gold_clip_id'")
+        source_modality = _optional_str(obj, "source_modality", line_no)
+        category = _optional_str(obj, "category", line_no)
+        try:
+            gold = parse_clip_id(gold_id)
+            record = QueryRecord(
+                query_id=query_id,
+                text=text,
+                gold=gold,
+                source_modality=source_modality,
+                category=category,
+            )
+        except CorpusError as exc:
+            raise CorpusError(f"line {line_no}: {exc}") from None
+        queries.append(record)
     return queries
 
 

@@ -9,7 +9,8 @@ Search scores postings exactly: it gathers the postings of the query's
 buckets, sums each clip's products in ascending bucket order (bit-equal to a
 sequential dot product), and returns only clips with a positive score.
 The on-disk format is versioned, self-describing and checksummed, so files
-round-trip bit-exactly and damaged files are rejected when loaded.
+round-trip bit-exactly and damaged files are rejected when loaded; its
+payload is whole columns, each read back with one ``np.frombuffer``.
 """
 
 from __future__ import annotations
@@ -19,25 +20,25 @@ import gc
 import hashlib
 import json
 import re
-import struct
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .corpus import ClipRef, Corpus, CorpusError, Modality, parse_clip_id
+from .corpus import ClipRef, Corpus, Modality
 from .embed import EmbedderSpec, EmbeddingError, SparseVector, embed_text, is_zero
 
 FORMAT_NAME = "cliproute-index"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DEFAULT_DEPTH = 50
 
 FUSED_SOURCE = "fused"
 INDEX_SOURCES = ("asr", "ocr", "visuals", FUSED_SOURCE)
 
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
-_ENTRY_HEAD = struct.Struct("<II")  # id length, nnz
+#: The largest clip time a u32 column holds.
+_MAX_TIME_S = 2**32 - 1
 
 
 class IndexingError(RuntimeError):
@@ -70,13 +71,10 @@ class ModalityIndex:
     buckets: np.ndarray  # (nnz,) uint32 bucket ids
     weights: np.ndarray  # (nnz,) float64 row values
     build_stats: BuildStats
-    #: ``clip_refs``' canonical ids, passed by a caller that already holds
-    #: them; otherwise they are formatted from the refs.
-    clip_ids: InitVar[Optional[list[str]]] = None
     #: The modality this index serves; None for the fused-caption index.
     modality: Optional[Modality] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, clip_ids: Optional[list[str]]) -> None:
+    def __post_init__(self) -> None:
         self.modality = Modality.from_wire(self.source)
         # Bucket-major postings: bucket b's rows (ascending) and weights sit
         # at [_post_ptr[b], _post_ptr[b + 1]) of _post_rows / _post_weights.
@@ -91,7 +89,7 @@ class ModalityIndex:
         self._post_ptr = np.zeros(self.embedder.dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.buckets, minlength=self.embedder.dim), out=self._post_ptr[1:])
         # Rank of each clip id in sorted order drives the deterministic tie-break.
-        ids = clip_ids if clip_ids is not None else [ref.clip_id for ref in self.clip_refs]
+        ids = [ref.clip_id for ref in self.clip_refs]
         self._id_rank = np.empty(len(ids), dtype=np.int64)
         self._id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
 
@@ -223,32 +221,44 @@ def _digest(header: dict, payload: bytes) -> str:
 
 
 def save_index(index: ModalityIndex, path: str | Path) -> None:
-    """Write the versioned binary index file (format v2).
+    """Write the versioned binary index file (format v3).
 
-    Layout: one canonical JSON header line, then per entry a little-endian
-    u32 id length, a u32 nnz, the UTF-8 clip id, nnz u32 bucket ids and nnz
-    float64 weights. The header's ``sha256`` covers the rest of the header
-    and the payload. Writing the same index twice produces identical bytes.
+    Layout: one canonical JSON header line, then whole little-endian
+    columns: the u32 byte lengths of the distinct video ids (in order of
+    first use) and their UTF-8 bytes; per clip its u32 video number,
+    start_s, end_s and nnz; then all u32 bucket ids and all float64
+    weights, row after row. The header's ``sha256`` covers the rest of the
+    header and the payload. Writing the same index twice produces
+    identical bytes.
     """
-    # Byte views of the little-endian arrays: each entry's rows are copied
-    # from them straight into the payload, its only copy.
-    buckets = memoryview(np.ascontiguousarray(index.buckets, dtype="<u4").view(np.uint8))
-    weights = memoryview(np.ascontiguousarray(index.weights, dtype="<f8").view(np.uint8))
-    indptr = index.indptr.tolist()
-    payload = bytearray()
-    for ref, lo, hi in zip(index.clip_refs, indptr, indptr[1:]):
-        id_bytes = ref.clip_id.encode("utf-8")
-        payload += _ENTRY_HEAD.pack(len(id_bytes), hi - lo)
-        payload += id_bytes
-        payload += buckets[4 * lo : 4 * hi]
-        payload += weights[8 * lo : 8 * hi]
+    refs = index.clip_refs
+    late = next((ref for ref in refs if ref.end_s > _MAX_TIME_S), None)
+    if late is not None:
+        raise IndexingError(f"clip {late.clip_id}: times above {_MAX_TIME_S} s do not fit the index")
+    numbers: dict[str, int] = {}
+    for ref in refs:
+        numbers.setdefault(ref.video_id, len(numbers))
+    video_ids = [video.encode("utf-8") for video in numbers]
+    payload = b"".join(
+        [
+            np.array([len(video) for video in video_ids], dtype="<u4"),
+            *video_ids,
+            np.array([numbers[ref.video_id] for ref in refs], dtype="<u4"),
+            np.array([ref.start_s for ref in refs], dtype="<u4"),
+            np.array([ref.end_s for ref in refs], dtype="<u4"),
+            np.diff(index.indptr).astype("<u4"),
+            index.buckets.astype("<u4"),
+            index.weights.astype("<f8"),
+        ]
+    )
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "source": index.source,
         "embedder": index.embedder.to_dict(),
         "dim": index.embedder.dim,
-        "count": len(index.clip_refs),
+        "count": len(refs),
+        "videos": len(video_ids),
         "nnz": len(index.buckets),
         "build_stats": index.build_stats.to_dict(),
     }
@@ -313,9 +323,12 @@ def _decode(data: bytes) -> ModalityIndex:
         spec = EmbedderSpec.from_dict(header["embedder"])
         source = header["source"]
         dim, count, nnz = int(header["dim"]), int(header["count"]), int(header["nnz"])
+        videos = int(header["videos"])
         stats = BuildStats(**header["build_stats"])
     except (KeyError, TypeError, ValueError) as exc:
         raise IndexingError(f"bad header: {exc!r}") from None
+    if min(count, videos, nnz) < 0:
+        raise IndexingError("bad header: negative count, videos or nnz")
     if digest != _digest(header, payload):
         raise IndexingError("sha256 mismatch: the file is damaged or truncated")
     if source not in INDEX_SOURCES:
@@ -323,51 +336,61 @@ def _decode(data: bytes) -> ModalityIndex:
     if dim != spec.dim:
         raise IndexingError(f"header dim {dim} does not match embedder dim {spec.dim}")
 
-    ids: list[str] = []
-    refs: list[ClipRef] = []
-    lengths: list[int] = []
-    bucket_parts: list[bytes] = []
-    weight_parts: list[bytes] = []
     offset = 0
-    for _ in range(count):
-        if offset + _ENTRY_HEAD.size > len(payload):
-            raise IndexingError(f"entry {len(refs)} runs past the end of the file")
-        id_len, row_nnz = _ENTRY_HEAD.unpack_from(payload, offset)
-        id_end = offset + _ENTRY_HEAD.size + id_len
-        bucket_end = id_end + 4 * row_nnz
-        offset = bucket_end + 8 * row_nnz
+
+    def column(name: str, dtype: str, n: int) -> np.ndarray:
+        nonlocal offset
+        start, offset = offset, offset + np.dtype(dtype).itemsize * n
         if offset > len(payload):
-            raise IndexingError(f"entry {len(refs)} runs past the end of the file")
-        try:
-            ids.append(payload[id_end - id_len : id_end].decode("utf-8"))
-            refs.append(parse_clip_id(ids[-1]))
-        except (UnicodeDecodeError, CorpusError) as exc:
-            raise IndexingError(f"entry {len(refs)}: bad clip id: {exc}") from None
-        lengths.append(row_nnz)
-        bucket_parts.append(payload[id_end:bucket_end])
-        weight_parts.append(payload[bucket_end:offset])
+            raise IndexingError(f"the {name} column runs past the end of the file")
+        return np.frombuffer(payload, dtype, count=n, offset=start)
+
+    id_lengths = column("video id length", "<u4", videos)
+    id_bytes = column("video id", "u1", int(id_lengths.sum())).tobytes()
+    numbers = column("video number", "<u4", count)
+    starts = column("start", "<u4", count)
+    ends = column("end", "<u4", count)
+    row_nnz = column("nnz", "<u4", count)
+    buckets = column("bucket", "<u4", nnz).astype(np.uint32)
+    weights = column("weight", "<f8", nnz).astype(np.float64)
     if offset != len(payload):
-        raise IndexingError(f"{len(payload) - offset} bytes trail the last entry")
-    indptr = np.cumsum([0, *lengths], dtype=np.int64)
-    buckets = np.frombuffer(b"".join(bucket_parts), dtype="<u4").astype(np.uint32)
-    weights = np.frombuffer(b"".join(weight_parts), dtype="<f8").astype(np.float64)
-    if indptr[-1] != nnz:
-        raise IndexingError(f"entries hold {indptr[-1]} nonzeros, header says {nnz}")
-    if 0 in lengths:
-        raise IndexingError("an entry has no nonzero entries")
+        raise IndexingError(f"{len(payload) - offset} bytes trail the last column")
+    if int(row_nnz.sum()) != nnz:
+        raise IndexingError(f"rows hold {int(row_nnz.sum())} nonzeros, header says {nnz}")
+    video_ids: list[str] = []
+    at = 0
+    for k, length in enumerate(id_lengths.tolist()):
+        if not length:
+            raise IndexingError(f"video id {k} is empty")
+        try:
+            video_ids.append(id_bytes[at : at + length].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise IndexingError(f"video id {k} is not UTF-8") from None
+        at += length
+    _check_rows(numbers >= videos, "has a video number past the video ids")
+    _check_rows(ends <= starts, "does not end after it starts")
+    _check_rows(row_nnz == 0, "has no nonzero entries")
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(row_nnz, out=indptr[1:])
     steps = np.diff(buckets.astype(np.int64))
     steps[indptr[1:-1] - 1] = 1  # a row may start below the previous row's end
     if np.any(steps <= 0) or np.any(buckets >= dim):
         raise IndexingError(f"bucket ids must increase within a row and stay below {dim}")
     if not np.all(np.isfinite(weights)) or np.any(weights == 0):
         raise IndexingError("weights must be finite and nonzero")
+    clip_videos = [video_ids[k] for k in numbers.tolist()]
     return ModalityIndex(
         source=source,
         embedder=spec,
-        clip_refs=refs,
+        clip_refs=list(map(ClipRef, clip_videos, starts.tolist(), ends.tolist())),
         indptr=indptr,
         buckets=buckets,
         weights=weights,
         build_stats=stats,
-        clip_ids=ids,
     )
+
+
+def _check_rows(bad: np.ndarray, what: str) -> None:
+    """Reject the file if any row is flagged ``bad``, naming the first."""
+    if bad.any():
+        raise IndexingError(f"clip row {int(bad.argmax())} {what}")

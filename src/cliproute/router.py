@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Protocol
 
-from .corpus import MODALITIES, Modality, QueryRecord, normalize_text
+from .corpus import MODALITIES, Modality, QueryRecord, normalize_text, read_lines
 
 if TYPE_CHECKING:
     import requests
@@ -179,17 +179,70 @@ def router_instructions() -> str:
     )
 
 
+#: An object nested deeper than this is no routing decision. The scan skips
+#: it without decoding, which keeps every decode far inside the recursion
+#: limit of the JSON decoder.
+_MAX_NESTING = 128
+
+#: A quote that ends or starts a JSON string (one after an even run of
+#: backslashes), or a bracket.
+_JSON_TOKEN_RE = re.compile(r'(?<!\\)(?:\\\\)*"|[{}\[\]]')
+
+
+def _object_spans(raw: str) -> list[tuple[int, int, int]]:
+    """(start, end, parity) of each ``{`` whose brackets balance within at
+    most ``_MAX_NESTING`` levels, in order of start: the only places a JSON
+    object can start.
+
+    Inside an object, a bracket is structural when an even number of string
+    quotes lies between it and the object's ``{``. So each bracket belongs to
+    the parity of the quotes before it in ``raw``, and the brackets of one
+    parity are matched with one stack; ``end`` is the matching ``}``.
+    """
+    stacks: tuple[list, list] = ([], [])  # entries [start, closer, levels inside]
+    spans = []
+    parity = 0
+    for match in _JSON_TOKEN_RE.finditer(raw):
+        char = raw[match.end() - 1]
+        if char == '"':
+            parity ^= 1
+            continue
+        stack = stacks[parity]
+        if char in "{[":
+            stack.append([match.start(), "}" if char == "{" else "]", 0])
+        elif stack and stack[-1][1] == char:
+            start, _, levels = stack.pop()
+            if stack:
+                stack[-1][2] = max(stack[-1][2], levels + 1)
+            if char == "}" and levels < _MAX_NESTING:
+                spans.append((start, match.start(), parity))
+        else:  # a closer of the wrong kind: nothing open can be valid JSON
+            stack.clear()
+    spans.sort()
+    return spans
+
+
 def _first_json_object(raw: str) -> Optional[dict]:
+    """The JSON object that decodes from the first ``{`` it can.
+
+    A decode from the ``{`` at i that fails at position p would fail at p
+    again from every later ``{`` of i's parity that is still open at p, as
+    that one's text up to p parses as a part of i's. The scan skips those,
+    so the failed decodes of one parity do not overlap. (A number too long
+    for ``int`` fails with no position and is the exception.)
+    """
     decoder = json.JSONDecoder()
-    for idx, char in enumerate(raw):
-        if char != "{":
+    failed_at = [0, 0]  # per parity: where the last failed decode stopped
+    for start, end, parity in _object_spans(raw):
+        if start < failed_at[parity] <= end:
             continue
         try:
-            obj, _ = decoder.raw_decode(raw, idx)
-        except (ValueError, RecursionError):  # nesting too deep counts as no object
+            obj, _ = decoder.raw_decode(raw, start)
+        except (ValueError, RecursionError) as exc:  # recursion only from a deep caller
+            if isinstance(exc, json.JSONDecodeError):
+                failed_at[parity] = exc.pos
             continue
-        if isinstance(obj, dict):
-            return obj
+        return obj
     return None
 
 
@@ -282,22 +335,18 @@ class ReplayRouter:
         if not config.replay_path:
             raise RouterError("replay backend requires a replay fixture path")
         self._responses: dict[str, str] = {}
-        with Path(config.replay_path).open("r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{config.replay_path}:{line_no}"
-                try:
-                    obj = json.loads(line)
-                except ValueError as exc:
-                    raise RouterError(f"{where}: invalid JSON ({exc})") from None
-                if not isinstance(obj, dict):
-                    raise RouterError(f"{where}: expected a JSON object")
-                missing = [key for key in ("query_id", "raw_response") if key not in obj]
-                if missing:
-                    raise RouterError(f"{where}: missing {', '.join(map(repr, missing))}")
-                self._responses[str(obj["query_id"])] = str(obj["raw_response"])
+        for line_no, line in read_lines(config.replay_path, RouterError):
+            where = f"{config.replay_path}:{line_no}"
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise RouterError(f"{where}: invalid JSON ({exc})") from None
+            if not isinstance(obj, dict):
+                raise RouterError(f"{where}: expected a JSON object")
+            missing = [key for key in ("query_id", "raw_response") if key not in obj]
+            if missing:
+                raise RouterError(f"{where}: missing {', '.join(map(repr, missing))}")
+            self._responses[str(obj["query_id"])] = str(obj["raw_response"])
 
     def route(self, query: QueryRecord) -> RoutingDecision:
         raw = self._responses.get(query.query_id)

@@ -252,6 +252,47 @@ class TestRoute:
         assert code == EXIT_RUNTIME
 
 
+class TestNonUtf8Input:
+    """An input file that is not UTF-8 ends in a runtime error naming it."""
+
+    def _assert_rejected(self, code, capsys, path):
+        assert code == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not UTF-8 text")
+
+    def test_corpus(self, workspace, capsys):
+        workspace["corpus"].write_bytes(b"\xff\xfe{\x00\n")
+        self._assert_rejected(_build(workspace), capsys, workspace["corpus"])
+
+    def test_queries(self, workspace, capsys):
+        _gen(workspace)
+        _build(workspace)
+        lines = workspace["queries"].read_bytes().splitlines(keepends=True)
+        workspace["queries"].write_bytes(b"".join(lines[:2]) + b'{"text": "caf\xe9"}\n')
+        capsys.readouterr()
+        code = main(
+            [
+                "evaluate",
+                "--corpus",
+                str(workspace["corpus"]),
+                "--queries",
+                str(workspace["queries"]),
+                "--index-dir",
+                str(workspace["index_dir"]),
+                "--out",
+                str(workspace["report"]),
+            ]
+        )
+        self._assert_rejected(code, capsys, workspace["queries"])
+
+    def test_replay_fixture(self, tmp_path, capsys):
+        fixture = tmp_path / "replay.jsonl"
+        fixture.write_bytes(b"\xff\n")
+        code = main(["route", "--router", "replay", "--replay-fixture", str(fixture), "x"])
+        self._assert_rejected(code, capsys, fixture)
+
+
 class TestQuery:
     def test_planted_token_retrieves_gold_at_rank_one(self, workspace, capsys):
         _gen(workspace)
@@ -419,6 +460,17 @@ class TestEvaluate:
         assert self._evaluate(workspace, "single:asr") == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "asr.idx" in err
+
+    def test_v2_index_asks_for_a_rebuild(self, workspace, capsys):
+        _gen(workspace)
+        _build(workspace)
+        path = workspace["index_dir"] / "asr.idx"
+        header, _, payload = path.read_bytes().partition(b"\n")
+        path.write_bytes(header.replace(b'"version": 3', b'"version": 2') + b"\n" + payload)
+        capsys.readouterr()
+        assert self._evaluate(workspace, "single:asr") == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: unsupported version 2; rebuild with build-index\n"
 
     def test_mixed_embedders_rejected_at_load(self, workspace, tmp_path, capsys):
         _gen(workspace)

@@ -467,10 +467,23 @@ def _signed(header, payload):
     return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
 
 
-def _first_entry(payload):
-    """(offset of the first entry's buckets, of its weights, its nnz)."""
-    id_len, nnz = struct.unpack_from("<II", payload, 0)
-    return 8 + id_len, 8 + id_len + 4 * nnz, nnz
+def _offsets(header, payload):
+    """Byte offset of each payload column, as the README lays them out."""
+    videos, count = header["videos"], header["count"]
+    id_lengths = struct.unpack_from(f"<{videos}I", payload, 0)
+    at = {"video id length": 0, "video id": 4 * videos}
+    at["video number"] = at["video id"] + sum(id_lengths)
+    for column, after in (("start", "video number"), ("end", "start"), ("nnz", "end")):
+        at[column] = at[after] + 4 * count
+    at["bucket"] = at["nnz"] + 4 * count
+    at["weight"] = at["bucket"] + 4 * header["nnz"]
+    return at
+
+
+def _put(payload, at, fmt, *values):
+    """``payload`` with ``values`` packed as ``fmt`` at byte ``at``."""
+    size = struct.calcsize(fmt)
+    return payload[:at] + struct.pack(fmt, *values) + payload[at + size :]
 
 
 def _with_header(**changes):
@@ -480,44 +493,90 @@ def _with_header(**changes):
     return corrupt
 
 
+def _with_nnz(nnz):
+    """Header nnz and the bucket and weight columns cut to ``nnz`` entries,
+    so every column fits while the per-clip nnz column still sums higher."""
+
+    def corrupt(header, payload):
+        at = _offsets(header, payload)
+        buckets = payload[at["bucket"] : at["bucket"] + 4 * nnz]
+        weights = payload[at["weight"] : at["weight"] + 8 * nnz]
+        return {**header, "nnz": nnz}, payload[: at["bucket"]] + buckets + weights
+
+    return corrupt
+
+
+def _set_clip(column, row, value):
+    """Corruption that sets one clip's u32 in a per-clip column."""
+
+    def corrupt(header, payload):
+        return header, _put(payload, _offsets(header, payload)[column] + 4 * row, "<I", value)
+
+    return corrupt
+
+
+def _move_nonzeros_to_the_second_row(header, payload):
+    at = _offsets(header, payload)["nnz"]
+    first, second = struct.unpack_from("<II", payload, at)
+    return header, _put(payload, at, "<II", 0, first + second)
+
+
 def _set_bucket(position, value):
     def corrupt(header, payload):
-        buckets_at, _, nnz = _first_entry(payload)
-        at = buckets_at + 4 * (position % nnz)
-        return header, payload[:at] + struct.pack("<I", value) + payload[at + 4 :]
+        at = _offsets(header, payload)
+        first_row_nnz = struct.unpack_from("<I", payload, at["nnz"])[0]
+        return header, _put(payload, at["bucket"] + 4 * (position % first_row_nnz), "<I", value)
 
     return corrupt
 
 
 def _nan_weight(header, payload):
-    _, weights_at, _ = _first_entry(payload)
-    return header, payload[:weights_at] + struct.pack("<d", float("nan")) + payload[weights_at + 8 :]
+    return header, _put(payload, _offsets(header, payload)["weight"], "<d", float("nan"))
 
 
-def _edit_first_id(edit):
-    """Corruption that rewrites the first entry's id bytes at the same length."""
+def _zero_weight(header, payload):
+    return header, _put(payload, _offsets(header, payload)["weight"], "<d", 0.0)
+
+
+def _set_video_id(video_id):
+    """Corruption that replaces the first video id (and its length)."""
 
     def corrupt(header, payload):
-        id_len, _ = struct.unpack_from("<II", payload, 0)
-        clip_id = edit(payload[8 : 8 + id_len])
-        assert len(clip_id) == id_len
-        return header, payload[:8] + clip_id + payload[8 + id_len :]
+        at = _offsets(header, payload)
+        old_length = struct.unpack_from("<I", payload, 0)[0]
+        ids = payload[at["video id"] : at["video number"]]
+        return header, (
+            struct.pack("<I", len(video_id))
+            + payload[4 : at["video id"]]
+            + video_id
+            + ids[old_length:]
+            + payload[at["video number"] :]
+        )
 
     return corrupt
 
 
 def _per_entry_payload(index):
-    """The payload as save_index wrote it before it sliced byte views: two
-    numpy conversions and two copies per entry."""
-    parts = []
+    """The v3 payload written entry by entry with struct, as the README lays
+    it out: each new video id goes to the id table, each clip's fields and
+    each nonzero to the end of their column."""
+    numbers = {}
+    columns = {name: [] for name in ("lengths", "ids", "video", "start", "end", "nnz", "b", "w")}
     for i, ref in enumerate(index.clip_refs):
-        lo, hi = index.indptr[i], index.indptr[i + 1]
-        id_bytes = ref.clip_id.encode("utf-8")
-        parts.append(struct.pack("<II", len(id_bytes), hi - lo))
-        parts.append(id_bytes)
-        parts.append(index.buckets[lo:hi].astype("<u4").tobytes())
-        parts.append(index.weights[lo:hi].astype("<f8").tobytes())
-    return b"".join(parts)
+        if ref.video_id not in numbers:
+            numbers[ref.video_id] = len(numbers)
+            encoded = ref.video_id.encode("utf-8")
+            columns["lengths"].append(struct.pack("<I", len(encoded)))
+            columns["ids"].append(encoded)
+        lo, hi = int(index.indptr[i]), int(index.indptr[i + 1])
+        columns["video"].append(struct.pack("<I", numbers[ref.video_id]))
+        columns["start"].append(struct.pack("<I", ref.start_s))
+        columns["end"].append(struct.pack("<I", ref.end_s))
+        columns["nnz"].append(struct.pack("<I", hi - lo))
+        for j in range(lo, hi):
+            columns["b"].append(struct.pack("<I", int(index.buckets[j])))
+            columns["w"].append(struct.pack("<d", float(index.weights[j])))
+    return b"".join(b"".join(parts) for parts in columns.values()), len(numbers)
 
 
 class TestSerialization:
@@ -529,7 +588,24 @@ class TestSerialization:
         save_index(index, tmp_path / "index.idx")
         data = (tmp_path / "index.idx").read_bytes()
         header, _ = _split(data)
-        assert data == _signed(header, _per_entry_payload(index))
+        payload, videos = _per_entry_payload(index)
+        assert (header["version"], header["count"], header["nnz"]) == (3, len(index), index.indptr[-1])
+        assert header["videos"] == videos < len(index)
+        assert data == _signed(header, payload)
+
+    def test_video_ids_are_numbered_in_order_of_first_use(self, tmp_path, spec):
+        corpus = _corpus(
+            _clip("b", 0, asr_text="beta"),
+            _clip("a", 0, asr_text="alpha"),
+            _clip("b", 10, asr_text="gamma"),
+        )
+        index = build_index(corpus, Modality.ASR, spec)
+        save_index(index, tmp_path / "asr.idx")
+        data = (tmp_path / "asr.idx").read_bytes()
+        header, payload = _split(data)
+        assert payload[8:10] == b"ba"
+        assert data == _signed(header, _per_entry_payload(index)[0])
+        assert load_index(tmp_path / "asr.idx").clip_refs == index.clip_refs
 
     def test_round_trip_is_exact(self, tmp_path, spec):
         corpus = _corpus(
@@ -586,30 +662,49 @@ class TestSerialization:
     def test_layout_matches_the_documented_format(self, tmp_path, spec):
         path = _saved(tmp_path, spec)
         header, payload = _split(path.read_bytes())
-        assert header["version"] == 2
+        assert (header["version"], header["count"], header["videos"]) == (3, 2, 2)
         assert path.read_bytes() == _signed(header, payload)
         index = load_index(path)
-        assert header["nnz"] == len(index.buckets)
-        _, weights_at, nnz = _first_entry(payload)
-        assert nnz == index.indptr[1]
-        assert payload[weights_at - 4 * nnz : weights_at] == index.buckets[:nnz].astype("<u4").tobytes()
+        at = _offsets(header, payload)
+        assert struct.unpack_from("<2I", payload, 0) == (1, 1)
+        assert payload[at["video id"] : at["video number"]] == b"ab"
+        for column, values in (
+            ("video number", (0, 1)),
+            ("start", (0, 0)),
+            ("end", (10, 10)),
+            ("nnz", tuple(np.diff(index.indptr))),
+        ):
+            assert struct.unpack_from("<2I", payload, at[column]) == values
+        nnz = header["nnz"]
+        assert struct.unpack_from(f"<{nnz}I", payload, at["bucket"]) == tuple(index.buckets)
+        assert struct.unpack_from(f"<{nnz}d", payload, at["weight"]) == tuple(index.weights)
+        assert at["weight"] + 8 * nnz == len(payload)
 
     @pytest.mark.parametrize(
         "corrupt, message",
         [
             (_with_header(dim=256), "does not match embedder dim"),
             (_with_header(count=3), "runs past the end"),
-            (_with_header(count=1), "bytes trail the last entry"),
-            (_with_header(nnz=1), "header says 1"),
+            (_with_header(count=1), "bytes trail the last column"),
+            (_with_header(videos=5), "runs past the end"),
+            (_with_header(videos=1), "bytes trail the last column"),
+            (_with_header(nnz=1), "bytes trail the last column"),
+            (_with_nnz(1), "header says 1"),
             (_with_header(source="audio"), "unknown source"),
-            (lambda h, p: (h, p + b"\0"), "bytes trail the last entry"),
+            (_with_header(count=-1), "negative count"),
+            (lambda h, p: (h, p + b"\0"), "bytes trail the last column"),
             (lambda h, p: (h, p[:-8]), "runs past the end"),
+            (_set_clip("video number", 1, 2), "row 1 has a video number past the video ids"),
+            (_set_clip("end", 0, 0), "row 0 does not end after it starts"),
+            (_set_clip("start", 1, 11), "row 1 does not end after it starts"),
+            (_move_nonzeros_to_the_second_row, "row 0 has no nonzero entries"),
             (_set_bucket(0, 600), "increase within a row and stay below 512"),
             (_set_bucket(-1, 512), "increase within a row and stay below 512"),
             (_set_bucket(1, 0), "increase within a row"),
             (_nan_weight, "finite"),
-            (_edit_first_id(lambda b: b.replace(b"__e", b"__x")), "bad clip id"),
-            (_edit_first_id(lambda b: b"\xff" + b[1:]), "bad clip id"),
+            (_zero_weight, "nonzero"),
+            (_set_video_id(b""), "video id 0 is empty"),
+            (_set_video_id(b"\xff"), "video id 0 is not UTF-8"),
         ],
     )
     def test_inconsistent_signed_files_rejected(self, tmp_path, spec, corrupt, message):
@@ -617,6 +712,22 @@ class TestSerialization:
         path.write_bytes(_signed(*corrupt(*_split(path.read_bytes()))))
         with pytest.raises(IndexingError, match=message):
             load_index(path)
+
+    @pytest.mark.parametrize("start, end", [(0, 2**32), (2**32, 2**32 + 10)])
+    def test_times_past_the_u32_columns_are_rejected_before_writing(self, tmp_path, spec, start, end):
+        corpus = _corpus(_clip("a", 0, asr_text="alpha"), _clip("b", start, asr_text="beta"))
+        index = build_index(corpus, Modality.ASR, spec)
+        index.clip_refs[1] = ClipRef("b", start, end)
+        path = tmp_path / "asr.idx"
+        with pytest.raises(IndexingError, match=f"clip b__s{start}__e{end}: "):
+            save_index(index, path)
+        assert not path.exists()
+
+    def test_the_largest_u32_time_round_trips(self, tmp_path, spec):
+        corpus = _corpus(_clip("a", 2**32 - 11, asr_text="alpha"))
+        index = build_index(corpus, Modality.ASR, spec)
+        save_index(index, tmp_path / "asr.idx")
+        assert load_index(tmp_path / "asr.idx").clip_refs == [ClipRef("a", 2**32 - 11, 2**32 - 1)]
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("damaged", [False, True])

@@ -19,6 +19,7 @@ from cliproute.router import (
     constrain_single,
     fallback_all_decision,
     make_router,
+    _first_json_object,
     parse_router_response,
     router_instructions,
     rule_route,
@@ -221,6 +222,66 @@ class TestParseRouterResponse:
         assert 1 <= len(decision.selections) <= 3
         assert len(set(decision.modalities)) == len(decision.modalities)
         assert all(optimized.strip() for _, optimized in decision.selections)
+
+
+    @pytest.mark.parametrize(
+        "raw, attempts, selections",
+        [
+            ('{"a":' * 20000 + '{"ocr": "x"}', 1, [(Modality.OCR, "x")]),
+            ('"' + '{"a":' * 20000 + '{"ocr": "x"}', 1, [(Modality.OCR, "x")]),
+            ('{"a":' * 20000 + "}" * 20000, 1, None),
+            (('{"a": ' * 400 + "X" + "}" * 400) * 25 + '{"ocr": "x"}', 26, [(Modality.OCR, "x")]),
+            ('{"asr": ' * 100 + "0" + "}" * 100, 1, [(Modality.ASR, "orig")]),
+            ('{"a": ' * 300 + '{"ocr": "x"} oops' + "}" * 300, 2, [(Modality.OCR, "x")]),
+        ],
+        ids=[
+            "unclosed",
+            "unclosed-after-a-quote",
+            "closed-invalid",
+            "invalid-runs",
+            "valid-deep",
+            "valid-inside-invalid",
+        ],
+    )
+    def test_deep_text_takes_a_bounded_number_of_decodes(
+        self, monkeypatch, raw, attempts, selections
+    ):
+        starts = []
+
+        class CountingDecoder(json.JSONDecoder):
+            def raw_decode(self, s, idx=0):
+                starts.append(idx)
+                return super().raw_decode(s, idx)
+
+        monkeypatch.setattr(json, "JSONDecoder", CountingDecoder)
+        decision = parse_router_response(raw, "orig")
+        assert len(starts) <= attempts
+        if selections is None:
+            assert decision.origin is Origin.FALLBACK_ALL
+        else:
+            assert (decision.selections, decision.origin) == (selections, Origin.LLM)
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(
+        parts=st.lists(
+            st.sampled_from(
+                ["{", "}", "[", "]", '"', "\\", ":", ",", " ", "0", "x", '"asr"', '"a"',
+                '\\"', "{}", '{"ocr": "x"}', '{"asr": ', '"{"']
+            ),
+            max_size=30,
+        )
+    )
+    def test_first_object_equals_decoding_from_every_brace(self, parts):
+        raw = "".join(parts)
+        decoder = json.JSONDecoder()
+        expected = None
+        for start in (i for i, char in enumerate(raw) if char == "{"):
+            try:
+                expected = decoder.raw_decode(raw, start)[0]
+                break
+            except ValueError:
+                continue
+        assert _first_json_object(raw) == expected
 
 
 class TestConstrainSingle:
