@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class CorpusError(ValueError):
@@ -63,12 +63,12 @@ def normalize_text(s: str) -> str:
     return _WORD_BREAK_RE.sub(" ", s.lower()).strip()
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ClipRef:
     """Identity and temporal extent of one video clip.
 
-    Ordering follows the canonical string form so sorted collections of
-    refs are deterministic.
+    Refs compare only for equality; code that needs an order sorts by
+    :attr:`clip_id`.
     """
 
     video_id: str
@@ -91,6 +91,15 @@ class ClipRef:
 
     def __str__(self) -> str:
         return self.clip_id
+
+
+def clip_ids(
+    video_ids: Sequence[str], numbers: Iterable[int], starts: Iterable[int], ends: Iterable[int]
+) -> list[str]:
+    """The canonical ids of clips held as columns, without a ClipRef each:
+    clip ``i`` is video ``video_ids[numbers[i]]`` from ``starts[i]`` to
+    ``ends[i]``, and its id is the one :attr:`ClipRef.clip_id` writes."""
+    return [f"{video_ids[v]}__s{s}__e{e}" for v, s, e in zip(numbers, starts, ends)]
 
 
 #: A canonical clip id: ASCII decimal boundaries with no leading zero. The

@@ -10,23 +10,25 @@ buckets, sums each clip's products in ascending bucket order (bit-equal to a
 sequential dot product), and returns only clips with a positive score.
 The on-disk format is versioned, self-describing and checksummed, so files
 round-trip bit-exactly and damaged files are rejected when loaded; its
-payload is whole columns, each read back with one ``np.frombuffer``.
+payload is whole columns, each read back with one ``np.frombuffer`` and
+copied out of the file's bytes. An index keeps its clips as those columns
+(video ids, each row's video number, start and end) and makes a
+:class:`ClipRef` only for the rows a search returns, so a load builds no
+object per clip; the file format and its bytes are the same either way.
 """
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import hashlib
 import json
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from .corpus import ClipRef, Corpus, Modality
+from .corpus import ClipRef, Corpus, Modality, clip_ids
 from .embed import EmbedderSpec, EmbeddingError, SparseVector, embed_text, is_zero
 
 FORMAT_NAME = "cliproute-index"
@@ -59,15 +61,20 @@ class BuildStats:
 class ModalityIndex:
     """Immutable searchable store of unit vectors for one text source.
 
-    Row ``i`` (clip ``clip_refs[i]``) holds ``weights[indptr[i]:indptr[i + 1]]``
-    at the strictly increasing ``buckets[indptr[i]:indptr[i + 1]]``; every
-    other entry of the row is zero.
+    Row ``i`` is the clip of video ``video_ids[video_numbers[i]]`` from
+    ``start_s[i]`` to ``end_s[i]``, whose ClipRef :meth:`ref` makes on first
+    use. The row holds ``weights[indptr[i]:indptr[i + 1]]`` at the strictly
+    increasing ``buckets[indptr[i]:indptr[i + 1]]``; every other entry of
+    the row is zero.
     """
 
     source: str
     embedder: EmbedderSpec
-    clip_refs: list[ClipRef]
-    indptr: np.ndarray  # (len(clip_refs) + 1,) int64 row offsets
+    video_ids: list[str]  # the distinct video ids, in order of first use
+    video_numbers: np.ndarray  # (count,) uint32 places in video_ids
+    start_s: np.ndarray  # (count,) uint32 clip starts
+    end_s: np.ndarray  # (count,) uint32 clip ends
+    indptr: np.ndarray  # (count + 1,) int64 row offsets
     buckets: np.ndarray  # (nnz,) uint32 bucket ids
     weights: np.ndarray  # (nnz,) float64 row values
     build_stats: BuildStats
@@ -78,7 +85,8 @@ class ModalityIndex:
         self.modality = Modality.from_wire(self.source)
         # Bucket-major postings: bucket b's rows (ascending) and weights sit
         # at [_post_ptr[b], _post_ptr[b + 1]) of _post_rows / _post_weights.
-        rows = np.repeat(np.arange(len(self.clip_refs)), np.diff(self.indptr))
+        count = len(self.start_s)
+        rows = np.repeat(np.arange(count), np.diff(self.indptr))
         # Keys of the narrowest type that holds every bucket id: numpy sorts
         # keys of up to 16 bits stably by radix, several times faster than
         # uint32 keys, and any stable sort gives the same order.
@@ -89,12 +97,24 @@ class ModalityIndex:
         self._post_ptr = np.zeros(self.embedder.dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.buckets, minlength=self.embedder.dim), out=self._post_ptr[1:])
         # Rank of each clip id in sorted order drives the deterministic tie-break.
-        ids = [ref.clip_id for ref in self.clip_refs]
-        self._id_rank = np.empty(len(ids), dtype=np.int64)
-        self._id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        ids = clip_ids(
+            self.video_ids, self.video_numbers.tolist(), self.start_s.tolist(), self.end_s.tolist()
+        )
+        self._id_rank = np.empty(count, dtype=np.int64)
+        self._id_rank[sorted(range(count), key=ids.__getitem__)] = np.arange(count)
+        # Row i's ClipRef once made, else None; search reads it directly.
+        self._refs: list[Optional[ClipRef]] = [None] * count
 
     def __len__(self) -> int:
-        return len(self.clip_refs)
+        return len(self.start_s)
+
+    def ref(self, row: int) -> ClipRef:
+        """The clip of row ``row``, made from the columns on first use and kept."""
+        ref = self._refs[row]
+        if ref is None:
+            video = self.video_ids[self.video_numbers[row]]
+            ref = self._refs[row] = ClipRef(video, int(self.start_s[row]), int(self.end_s[row]))
+        return ref
 
 
 @dataclass
@@ -144,7 +164,10 @@ def _pool_clip_vector(
 
 
 def _build_for_source(corpus: Corpus, source: str, spec: EmbedderSpec) -> ModalityIndex:
-    refs: list[ClipRef] = []
+    numbers: dict[str, int] = {}
+    video_numbers: list[int] = []
+    starts: list[int] = []
+    ends: list[int] = []
     # A leading empty row keeps concatenate valid for an empty index and makes
     # the cumulative row lengths start at 0, as indptr does.
     row_buckets: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
@@ -156,15 +179,23 @@ def _build_for_source(corpus: Corpus, source: str, spec: EmbedderSpec) -> Modali
         if row is None:
             skipped += 1
             continue
-        refs.append(clip.ref)
+        ref = clip.ref
+        if ref.end_s > _MAX_TIME_S:
+            raise IndexingError(f"clip {ref.clip_id}: times above {_MAX_TIME_S} s do not fit the index")
+        video_numbers.append(numbers.setdefault(ref.video_id, len(numbers)))
+        starts.append(ref.start_s)
+        ends.append(ref.end_s)
         row_buckets.append(row[0])
         row_weights.append(row[1])
     indptr = np.cumsum([len(b) for b in row_buckets], dtype=np.int64)
-    stats = BuildStats(indexed=len(refs), skipped=skipped, empty=not refs)
+    stats = BuildStats(indexed=len(starts), skipped=skipped, empty=not starts)
     return ModalityIndex(
         source=source,
         embedder=spec,
-        clip_refs=refs,
+        video_ids=list(numbers),
+        video_numbers=np.array(video_numbers, dtype=np.uint32),
+        start_s=np.array(starts, dtype=np.uint32),
+        end_s=np.array(ends, dtype=np.uint32),
         indptr=indptr,
         buckets=np.concatenate(row_buckets).astype(np.uint32),
         weights=np.concatenate(row_weights),
@@ -204,8 +235,10 @@ def search(index: ModalityIndex, vec: SparseVector, n: int) -> RankedList:
     scores = np.bincount(index._post_rows[positions], weights=products, minlength=len(index))
     hits = np.flatnonzero(scores > 0)
     top = hits[np.lexsort((index._id_rank[hits], -scores[hits]))[:n]]
-    refs = index.clip_refs
-    items = [(refs[i], score) for i, score in zip(top.tolist(), scores[top].tolist())]
+    made = index._refs
+    items = [
+        (made[i] or index.ref(i), score) for i, score in zip(top.tolist(), scores[top].tolist())
+    ]
     return RankedList(modality=index.modality, items=items, depth=n)
 
 
@@ -231,21 +264,14 @@ def save_index(index: ModalityIndex, path: str | Path) -> None:
     header and the payload. Writing the same index twice produces
     identical bytes.
     """
-    refs = index.clip_refs
-    late = next((ref for ref in refs if ref.end_s > _MAX_TIME_S), None)
-    if late is not None:
-        raise IndexingError(f"clip {late.clip_id}: times above {_MAX_TIME_S} s do not fit the index")
-    numbers: dict[str, int] = {}
-    for ref in refs:
-        numbers.setdefault(ref.video_id, len(numbers))
-    video_ids = [video.encode("utf-8") for video in numbers]
+    video_ids = [video.encode("utf-8") for video in index.video_ids]
     payload = b"".join(
         [
             np.array([len(video) for video in video_ids], dtype="<u4"),
             *video_ids,
-            np.array([numbers[ref.video_id] for ref in refs], dtype="<u4"),
-            np.array([ref.start_s for ref in refs], dtype="<u4"),
-            np.array([ref.end_s for ref in refs], dtype="<u4"),
+            index.video_numbers.astype("<u4"),
+            index.start_s.astype("<u4"),
+            index.end_s.astype("<u4"),
             np.diff(index.indptr).astype("<u4"),
             index.buckets.astype("<u4"),
             index.weights.astype("<f8"),
@@ -257,7 +283,7 @@ def save_index(index: ModalityIndex, path: str | Path) -> None:
         "source": index.source,
         "embedder": index.embedder.to_dict(),
         "dim": index.embedder.dim,
-        "count": len(refs),
+        "count": len(index),
         "videos": len(video_ids),
         "nnz": len(index.buckets),
         "build_stats": index.build_stats.to_dict(),
@@ -277,33 +303,17 @@ def load_index(path: str | Path) -> ModalityIndex:
     path = Path(path)
     data = path.read_bytes()
     try:
-        with _gc_paused():
-            return _decode(data)
+        return _decode(data)
     except IndexingError as exc:
         raise IndexingError(f"{path}: {exc}") from None
 
 
-@contextlib.contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector, if it is on, for the body.
-
-    A decode makes one ClipRef per clip, all kept and none in a cycle. With
-    the collector on, they set off collections that scan the caller's whole
-    heap, at points that depend on what the caller allocated before, so the
-    time of one load would depend on the process and not on the file.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 def _decode(data: bytes) -> ModalityIndex:
-    header_line, _, payload = data.partition(b"\n")
+    # The header line runs through the first newline (the whole file if it
+    # has none). The payload is a view, not a copy: every column the index
+    # keeps is copied out of it, so a loaded index does not pin the file.
+    size = data.find(b"\n") + 1 or len(data)
+    header_line, payload = data[:size], memoryview(data)[size:]
     try:
         header = json.loads(header_line)
     except ValueError:
@@ -316,7 +326,7 @@ def _decode(data: bytes) -> ModalityIndex:
         raise IndexingError(
             f"unsupported version {header.get('version')!r}; rebuild with build-index"
         )
-    if _header_line(header) != header_line + b"\n":
+    if _header_line(header) != header_line:
         raise IndexingError("header is not in canonical form")
     try:
         digest = header.pop("sha256")
@@ -347,9 +357,9 @@ def _decode(data: bytes) -> ModalityIndex:
 
     id_lengths = column("video id length", "<u4", videos)
     id_bytes = column("video id", "u1", int(id_lengths.sum())).tobytes()
-    numbers = column("video number", "<u4", count)
-    starts = column("start", "<u4", count)
-    ends = column("end", "<u4", count)
+    numbers = column("video number", "<u4", count).astype(np.uint32)
+    starts = column("start", "<u4", count).astype(np.uint32)
+    ends = column("end", "<u4", count).astype(np.uint32)
     row_nnz = column("nnz", "<u4", count)
     buckets = column("bucket", "<u4", nnz).astype(np.uint32)
     weights = column("weight", "<f8", nnz).astype(np.float64)
@@ -378,11 +388,13 @@ def _decode(data: bytes) -> ModalityIndex:
         raise IndexingError(f"bucket ids must increase within a row and stay below {dim}")
     if not np.all(np.isfinite(weights)) or np.any(weights == 0):
         raise IndexingError("weights must be finite and nonzero")
-    clip_videos = [video_ids[k] for k in numbers.tolist()]
     return ModalityIndex(
         source=source,
         embedder=spec,
-        clip_refs=list(map(ClipRef, clip_videos, starts.tolist(), ends.tolist())),
+        video_ids=video_ids,
+        video_numbers=numbers,
+        start_s=starts,
+        end_s=ends,
         indptr=indptr,
         buckets=buckets,
         weights=weights,

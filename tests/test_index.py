@@ -50,6 +50,11 @@ def _clip(video, start, **fields):
     return ClipRecord(ref=ClipRef(video, start, start + 10), **fields)
 
 
+def _refs(index):
+    """Every row's ClipRef, in row order."""
+    return [index.ref(row) for row in range(len(index))]
+
+
 def _dense(vec):
     """The full-width vector a SparseVector stands for."""
     dense = np.zeros(vec.dim)
@@ -85,7 +90,7 @@ def _oracle(index, dense_rows, vec, n):
         return []
     scores = _full_width_scores(dense_rows[:, support], query[support])
     ranked = sorted(
-        zip(index.clip_refs, scores.tolist()), key=lambda item: (-item[1], item[0].clip_id)
+        zip(_refs(index), scores.tolist()), key=lambda item: (-item[1], item[0].clip_id)
     )
     return [(ref, score) for ref, score in ranked if score > 0][:n]
 
@@ -117,7 +122,7 @@ def _assert_rows_equal_dense_pooling(index, corpus):
     clip's full-width sentence vectors, divided by the norm of the
     full-width pooled row, then its nonzeros, bit for bit."""
     texts = {clip.ref: clip.text_for(index.source) for clip in corpus}
-    for i, ref in enumerate(index.clip_refs):
+    for i, ref in enumerate(_refs(index)):
         vectors = [_dense(embed_text(index.embedder, s)) for s in split_sentences(texts[ref])]
         pooled = np.mean([v for v in vectors if v.any()], axis=0)
         pooled = pooled / float(np.linalg.norm(pooled))
@@ -435,6 +440,42 @@ class TestSearchParity:
             vec = embed_text(spec, " ".join(words))
             assert search(index, vec, n).items == _oracle(index, dense, vec, n)
 
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        clips=st.lists(
+            st.tuples(
+                # Video ids that prefix one another, and starts whose decimal
+                # strings sort apart from their values ("a__s10" < "a__s9").
+                st.sampled_from(["a", "a_0", "a__s1", "a0", "b"]),
+                st.sampled_from([0, 1, 9, 10, 11, 90, 100, 1000]),
+                # Few distinct texts, so many clips tie on every score.
+                st.sampled_from(["amber", "amber basil", "basil", "amber. basil", "cedar"]),
+            ),
+            min_size=1,
+            max_size=16,
+            unique_by=lambda clip: clip[:2],
+        ),
+        queries=st.lists(
+            st.sampled_from(["amber", "basil", "amber basil", "cedar amber", "zzz"]),
+            min_size=1,
+            max_size=4,
+        ),
+        n=st.integers(1, 20),
+    )
+    def test_tied_scores_on_built_and_loaded_indices(self, tmp_path_factory, clips, queries, n):
+        corpus = _corpus(*[_clip(video, start, asr_text=text) for video, start, text in clips])
+        spec = default_spec(64)
+        index = build_index(corpus, Modality.ASR, spec)
+        path = tmp_path_factory.mktemp("ties") / "asr.idx"
+        save_index(index, path)
+        loaded = load_index(path)
+        dense = _dense_rows(index)
+        for text in queries:
+            vec = embed_text(spec, text)
+            expected = _oracle(index, dense, vec, n)
+            assert search(index, vec, n).items == expected
+            assert search(loaded, vec, n).items == expected
+
     def test_dense_embedder_stores_every_bucket(self):
         spec = EmbedderSpec("test-dense", 32)
         corpus = _corpus(_clip("a", 0, asr_text="alpha"), _clip("b", 0, asr_text="beta"))
@@ -562,7 +603,7 @@ def _per_entry_payload(index):
     each nonzero to the end of their column."""
     numbers = {}
     columns = {name: [] for name in ("lengths", "ids", "video", "start", "end", "nnz", "b", "w")}
-    for i, ref in enumerate(index.clip_refs):
+    for i, ref in enumerate(_refs(index)):
         if ref.video_id not in numbers:
             numbers[ref.video_id] = len(numbers)
             encoded = ref.video_id.encode("utf-8")
@@ -605,7 +646,7 @@ class TestSerialization:
         header, payload = _split(data)
         assert payload[8:10] == b"ba"
         assert data == _signed(header, _per_entry_payload(index)[0])
-        assert load_index(tmp_path / "asr.idx").clip_refs == index.clip_refs
+        assert _refs(load_index(tmp_path / "asr.idx")) == _refs(index)
 
     def test_round_trip_is_exact(self, tmp_path, spec):
         corpus = _corpus(
@@ -618,7 +659,7 @@ class TestSerialization:
         loaded = load_index(path)
         assert loaded.source == index.source
         assert loaded.embedder == index.embedder
-        assert loaded.clip_refs == index.clip_refs
+        assert _refs(loaded) == _refs(index)
         assert np.array_equal(loaded.indptr, index.indptr)
         assert np.array_equal(loaded.buckets, index.buckets)
         assert np.array_equal(loaded.weights, index.weights)
@@ -715,19 +756,18 @@ class TestSerialization:
 
     @pytest.mark.parametrize("start, end", [(0, 2**32), (2**32, 2**32 + 10)])
     def test_times_past_the_u32_columns_are_rejected_before_writing(self, tmp_path, spec, start, end):
-        corpus = _corpus(_clip("a", 0, asr_text="alpha"), _clip("b", start, asr_text="beta"))
-        index = build_index(corpus, Modality.ASR, spec)
-        index.clip_refs[1] = ClipRef("b", start, end)
+        late = ClipRecord(ref=ClipRef("b", start, end), asr_text="beta")
+        corpus = _corpus(_clip("a", 0, asr_text="alpha"), late)
         path = tmp_path / "asr.idx"
         with pytest.raises(IndexingError, match=f"clip b__s{start}__e{end}: "):
-            save_index(index, path)
+            save_index(build_index(corpus, Modality.ASR, spec), path)
         assert not path.exists()
 
     def test_the_largest_u32_time_round_trips(self, tmp_path, spec):
         corpus = _corpus(_clip("a", 2**32 - 11, asr_text="alpha"))
         index = build_index(corpus, Modality.ASR, spec)
         save_index(index, tmp_path / "asr.idx")
-        assert load_index(tmp_path / "asr.idx").clip_refs == [ClipRef("a", 2**32 - 11, 2**32 - 1)]
+        assert _refs(load_index(tmp_path / "asr.idx")) == [ClipRef("a", 2**32 - 11, 2**32 - 1)]
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("damaged", [False, True])
@@ -750,7 +790,7 @@ class TestSerialization:
     @pytest.mark.parametrize("dim", [512, 70_000])
     def test_loaded_postings_and_id_ranks_equal_the_built_ones(self, tmp_path, dim):
         # 70,000 buckets do not fit the 16-bit sort keys; 512 do. Clip ids
-        # of the refs sort as "v__s10" < "v__s9", unlike the refs.
+        # sort as "v__s10" < "v__s9", unlike the start times.
         corpus = _corpus(*(
             _clip("v", start, asr_text=" ".join(_WORDS[start % 7 : start % 7 + 5]))
             for start in (9, 10, 0, 90, 100, 3)
@@ -760,13 +800,45 @@ class TestSerialization:
         loaded = load_index(tmp_path / "asr.idx")
         order = np.argsort(index.buckets.astype(np.int64), kind="stable")
         rows = np.repeat(np.arange(len(index)), np.diff(index.indptr))
-        ids = [ref.clip_id for ref in index.clip_refs]
+        ids = [ref.clip_id for ref in _refs(index)]
         rank = [sorted(ids).index(clip_id) for clip_id in ids]
         for built in (index, loaded):
             assert np.array_equal(built._post_rows, rows[order])
             assert np.array_equal(built._post_weights, index.weights[order])
             assert built._post_ptr[-1] == len(index.buckets)
             assert built._id_rank.tolist() == rank
+
+    def test_build_save_and_load_make_refs_only_for_returned_rows(
+        self, tmp_path, spec, monkeypatch
+    ):
+        corpus = _corpus(*[_clip(f"v{i}", 10 * i, asr_text=w) for i, w in enumerate(_WORDS)])
+        made = []
+        check = ClipRef.__post_init__
+
+        def counted(ref):
+            made.append(ref)
+            check(ref)
+
+        monkeypatch.setattr(ClipRef, "__post_init__", counted)
+        save_index(build_index(corpus, Modality.ASR, spec), tmp_path / "asr.idx")
+        loaded = load_index(tmp_path / "asr.idx")
+        assert made == []
+        query = embed_text(spec, "amber basil")
+        returned = [ref for ref, _ in search(loaded, query, 50).items]
+        assert 2 <= len(returned) < len(loaded)
+        assert made == returned
+        assert [ref for ref, _ in search(loaded, query, 50).items] == returned
+        assert made == returned
+
+    def test_a_loaded_index_keeps_no_view_of_the_file(self, acceptance_corpus, tmp_path):
+        save_index(acceptance_corpus[2]["asr"], tmp_path / "asr.idx")
+        loaded = load_index(tmp_path / "asr.idx")
+        arrays = {name: a for name, a in vars(loaded).items() if isinstance(a, np.ndarray)}
+        assert set(arrays) == {
+            "video_numbers", "start_s", "end_s", "indptr", "buckets", "weights",
+            "_post_rows", "_post_weights", "_post_ptr", "_id_rank",
+        }
+        assert [name for name, a in arrays.items() if a.base is not None] == []
 
     def test_reformatted_header_rejected(self, tmp_path, spec):
         # The same JSON values with other whitespace, as a flipped space
