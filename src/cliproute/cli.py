@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .corpus import (
+    FUSED_SOURCE,
     ClipRef,
     CorpusError,
     MODALITIES,
@@ -31,6 +32,7 @@ from .corpus import (
     save_queries,
 )
 from .embed import (
+    MAX_DIM,
     REFERENCE_EMBEDDER,
     EmbedderSpec,
     EmbeddingError,
@@ -40,7 +42,6 @@ from .embed import (
 from .evaluation import EvalError, EvalMethod, MethodKind, retrieve, run_evaluation
 from .fusion import FusionMethod
 from .index import (
-    FUSED_SOURCE,
     IndexingError,
     ModalityIndex,
     build_fused_index,
@@ -114,6 +115,8 @@ class RunConfig:
             raise UsageError(f"router_mode must be 'multi' or 'single', got {self.router_mode!r}")
         if self.dim < 8:
             raise UsageError(f"dim must be >= 8, got {self.dim}")
+        if self.dim > MAX_DIM:
+            raise UsageError(f"dim must be <= {MAX_DIM}, got {self.dim}")
         if self.embedder not in registered_embedders():
             raise UsageError(
                 f"unknown embedder {self.embedder!r}; registered: {registered_embedders()}"
@@ -277,8 +280,8 @@ def cmd_gen_corpus(config: RunConfig) -> int:
     coverage = corpus.coverage()
     print(f"wrote {len(corpus)} clips to {corpus_path}")
     print(f"wrote {len(queries)} queries to {queries_path}")
-    for source in ("asr", "ocr", "visuals", "fused"):
-        print(f"coverage[{source}] = {coverage[source]:.3f}")
+    for source, share in coverage.items():
+        print(f"coverage[{source}] = {share:.3f}")
     return EXIT_OK
 
 
@@ -287,13 +290,9 @@ def cmd_build_index(config: RunConfig) -> int:
     index_dir = Path(_require(config, "index_dir"))
     corpus = load_corpus(corpus_path)
     spec = config.embedder_spec()
-    sources = [m.wire for m in MODALITIES] + ([FUSED_SOURCE] if config.build_fused else [])
-    built = []
-    for source in sources:
-        if source == FUSED_SOURCE:
-            built.append(build_fused_index(corpus, spec))
-        else:
-            built.append(build_index(corpus, Modality.from_wire(source), spec))
+    built = [build_index(corpus, modality, spec) for modality in MODALITIES]
+    if config.build_fused:
+        built.append(build_fused_index(corpus, spec))
     index_dir.mkdir(parents=True, exist_ok=True)
     for index in built:
         path = _index_path(index_dir, index.source)
@@ -503,3 +502,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def console_main() -> None:
     logging.basicConfig(level=logging.WARNING)
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

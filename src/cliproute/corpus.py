@@ -48,6 +48,11 @@ class Modality(str, Enum):
 
 MODALITIES: tuple[Modality, ...] = (Modality.ASR, Modality.OCR, Modality.VISUAL)
 
+#: The source name of the fused caption, which the all-text baseline searches.
+FUSED_SOURCE = "fused"
+#: Every text source an index can be built over, one index file each.
+INDEX_SOURCES: tuple[str, ...] = (*(m.wire for m in MODALITIES), FUSED_SOURCE)
+
 #: Valid query source labels: the three modalities plus dense-caption-derived
 #: queries, which are never routable.
 SOURCE_LABELS: tuple[str, ...] = ("asr", "ocr", "visuals", "dense")
@@ -170,7 +175,7 @@ class ClipRecord:
         "asr": "asr_text",
         "ocr": "ocr_text",
         "visuals": "visual_caption",
-        "fused": "fused_caption",
+        FUSED_SOURCE: "fused_caption",
     }
 
     def text_for(self, source: Modality | str) -> Optional[str]:
@@ -246,14 +251,11 @@ class Corpus:
     def __contains__(self, ref: ClipRef) -> bool:
         return ref in self.clips
 
-    def get(self, ref: ClipRef) -> Optional[ClipRecord]:
-        return self.clips.get(ref)
-
     def coverage(self) -> dict[str, float]:
         """Fraction of clips with non-empty text per source, in [0, 1]."""
         total = len(self.clips)
         stats: dict[str, float] = {}
-        for wire in ("asr", "ocr", "visuals", "fused"):
+        for wire in INDEX_SOURCES:
             if total == 0:
                 stats[wire] = 0.0
             else:

@@ -22,6 +22,10 @@ import numpy as np
 from .corpus import normalize_text
 
 DEFAULT_DIM = 4096
+#: The widest vector an embedder may produce. Bucket ids then fit the index
+#: file's u32 bucket column, and each dim-wide array that a build or a load
+#: makes (float64 or int64) stays at or below 8 MB.
+MAX_DIM = 2**20
 REFERENCE_EMBEDDER = "hashed-trigram"
 
 #: Most words whose buckets the reference embedder keeps, least recently
@@ -71,6 +75,8 @@ class EmbedderSpec:
     def __post_init__(self) -> None:
         if self.dim < 8:
             raise EmbeddingError(f"embedder dim must be >= 8, got {self.dim}")
+        if self.dim > MAX_DIM:
+            raise EmbeddingError(f"embedder dim must be <= {MAX_DIM}, got {self.dim}")
         if self.name not in _REGISTRY:
             raise EmbeddingError(
                 f"unknown embedder {self.name!r}; registered: {sorted(_REGISTRY)}"

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
-from .corpus import Corpus, ClipRef, MODALITIES, Modality, QueryRecord
+from .corpus import FUSED_SOURCE, Corpus, ClipRef, MODALITIES, Modality, QueryRecord
 from .embed import embed_text, is_zero
 from .fusion import FusionMethod, DEFAULT_RRF_K, FusedItem, fuse
 from .index import DEFAULT_DEPTH, ModalityIndex, search
@@ -277,7 +277,7 @@ def retrieve(
             lists.append(ranked)
     if not lists:
         return None if all(map(is_zero, vectors.values())) else []
-    return fuse(lists, fusion_method, depth, rrf_k).items
+    return fuse(lists, fusion_method, depth, rrf_k)
 
 
 def _rank_for_query(
@@ -290,9 +290,9 @@ def _rank_for_query(
     use_rewrites: bool,
 ) -> _QueryOutcome:
     if method.kind is MethodKind.ALL_TEXT:
-        fused = indices.get("fused")
+        fused = indices.get(FUSED_SOURCE)
         if fused is None:
-            raise EvalError("all_text evaluation requires the 'fused' index")
+            raise EvalError(f"all_text evaluation requires the {FUSED_SOURCE!r} index")
         vec = embed_text(fused.embedder, query.text)
         unembeddable = is_zero(vec)
         refs = [] if unembeddable else [ref for ref, _ in search(fused, vec, depth).items]
@@ -364,21 +364,8 @@ def run_evaluation(
     ]
 
     n = len(outcomes)
-    if n == 0:
-        return EvalReport(
-            method=method.label,
-            n_queries=0,
-            recall_at_1=0.0,
-            recall_at_5=0.0,
-            recall_at_10=0.0,
-            mrr=0.0,
-            ndcg_at_5=0.0,
-            ndcg_at_10=0.0,
-            mean_selected=0.0,
-            cost_reduction=0.0,
-            routing=None,
-            unembeddable_queries=0,
-        )
+    # An empty query set reports every mean as 0.0.
+    per_query = max(n, 1)
 
     # One scan per ranking; each metric below equals its oracle function
     # (recall_at_k, reciprocal_rank, ndcg_at_k) bit for bit.
@@ -402,7 +389,7 @@ def run_evaluation(
         source_groups.setdefault(source, []).append((r5, outcome.selected_count))
         category_groups.setdefault(category, []).append((r5, outcome.selected_count))
 
-    mean_selected = sum(o.selected_count for o in outcomes) / n
+    mean_selected = sum(o.selected_count for o in outcomes) / per_query
     decisions = [o.decision for o in outcomes if o.decision is not None]
     stats = None
     if decisions:
@@ -425,14 +412,14 @@ def run_evaluation(
     return EvalReport(
         method=method.label,
         n_queries=n,
-        recall_at_1=sums["r1"] / n,
-        recall_at_5=sums["r5"] / n,
-        recall_at_10=sums["r10"] / n,
-        mrr=sums["rr"] / n,
-        ndcg_at_5=sums["n5"] / n,
-        ndcg_at_10=sums["n10"] / n,
+        recall_at_1=sums["r1"] / per_query,
+        recall_at_5=sums["r5"] / per_query,
+        recall_at_10=sums["r10"] / per_query,
+        mrr=sums["rr"] / per_query,
+        ndcg_at_5=sums["n5"] / per_query,
+        ndcg_at_10=sums["n10"] / per_query,
         mean_selected=mean_selected,
-        cost_reduction=cost_reduction(mean_selected),
+        cost_reduction=cost_reduction(mean_selected) if n else 0.0,
         routing=stats,
         unembeddable_queries=unembeddable,
         by_source=breakdown(source_groups),

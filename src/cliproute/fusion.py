@@ -3,7 +3,8 @@
 Linear fusion sums (n - rank) contributions per list; reciprocal rank
 fusion sums 1/(k + rank). Both are purely rank-driven (no similarity
 values), keep per-item provenance of contributing modalities, and order
-ties deterministically so reports are reproducible.
+ties deterministically so reports are reproducible. :func:`fuse` returns
+the ranked :class:`FusedItem` list itself.
 """
 
 from __future__ import annotations
@@ -40,28 +41,18 @@ class FusedItem:
         return {m.wire: self.provenance.get(m) for m in Modality}
 
 
-@dataclass
-class FusedRanking:
-    items: list[FusedItem]
-    method: FusionMethod
-    depth_n: int
-
-    @property
-    def refs(self) -> list[ClipRef]:
-        return [item.ref for item in self.items]
-
-
 def fuse(
     lists: Sequence[RankedList],
     method: FusionMethod,
     n: int,
     rrf_k: float = DEFAULT_RRF_K,
-) -> FusedRanking:
+) -> list[FusedItem]:
     """Fuse ranked lists by summing each item's per-rank contributions.
 
     A list holding an item at ``rank`` adds ``n - rank`` (linear) or
     ``1 / (rrf_k + rank)`` (RRF), in list order. Contributions fall strictly
-    as rank grows, so a single list keeps its own order.
+    as rank grows, so a single list keeps its own order. Returns the fused
+    items, best first.
     """
     if not lists:
         raise FusionError("fusion requires at least one ranked list")
@@ -75,30 +66,25 @@ def fuse(
             raise FusionError(f"duplicate modality {ranked.modality.wire!r} in fusion input")
         seen_modalities.add(ranked.modality)
     max_len = max(len(ranked.items) for ranked in lists)
-    if method is FusionMethod.LINEAR:
-        if n < max_len:
-            raise FusionError(f"depth n={n} is smaller than the longest list ({max_len})")
-        depth_n = n
-    else:
-        if not (math.isfinite(rrf_k) and rrf_k > 0):
-            raise FusionError(f"rrf constant must be finite and positive, got {rrf_k}")
-        method, depth_n = FusionMethod.RRF, max(ranked.depth for ranked in lists)
 
     # contribution[rank - 1] is what a list adds for an item at ``rank``.
     ranks = range(1, max_len + 1)
     if method is FusionMethod.LINEAR:
+        if n < max_len:
+            raise FusionError(f"depth n={n} is smaller than the longest list ({max_len})")
         contribution = [float(n - rank) for rank in ranks]
     else:
+        if not (math.isfinite(rrf_k) and rrf_k > 0):
+            raise FusionError(f"rrf constant must be finite and positive, got {rrf_k}")
         contribution = [1.0 / (rrf_k + rank) for rank in ranks]
 
     if len(lists) == 1:
         (ranked,) = lists
         modality = ranked.modality
-        items = [
+        return [
             FusedItem(ref, score, {modality: rank})
             for rank, ((ref, _), score) in enumerate(zip(ranked.items, contribution), start=1)
         ]
-        return FusedRanking(items=items, method=method, depth_n=depth_n)
 
     by_ref: dict[ClipRef, FusedItem] = {}
     for ranked in lists:
@@ -112,18 +98,7 @@ def fuse(
 
     # Ties: better best-rank first, then more contributing modalities,
     # then ascending canonical clip id.
-    items = sorted(
+    return sorted(
         by_ref.values(),
         key=lambda i: (-i.score, min(i.provenance.values()), -len(i.provenance), i.ref.clip_id),
     )
-    return FusedRanking(items=items, method=method, depth_n=depth_n)
-
-
-def linear_fuse(lists: Sequence[RankedList], n: int) -> FusedRanking:
-    """Linear fusion: each list contributes (n - rank) to the items it holds."""
-    return fuse(lists, FusionMethod.LINEAR, n)
-
-
-def rrf_fuse(lists: Sequence[RankedList], k_const: float = DEFAULT_RRF_K) -> FusedRanking:
-    """Reciprocal rank fusion: each list contributes 1 / (k_const + rank)."""
-    return fuse(lists, FusionMethod.RRF, 0, k_const)

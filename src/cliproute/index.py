@@ -28,15 +28,12 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import ClipRef, Corpus, Modality, clip_ids
+from .corpus import FUSED_SOURCE, INDEX_SOURCES, ClipRef, Corpus, Modality, clip_ids
 from .embed import EmbedderSpec, EmbeddingError, SparseVector, embed_text, is_zero
 
 FORMAT_NAME = "cliproute-index"
 FORMAT_VERSION = 3
 DEFAULT_DEPTH = 50
-
-FUSED_SOURCE = "fused"
-INDEX_SOURCES = ("asr", "ocr", "visuals", FUSED_SOURCE)
 
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
 #: The largest clip time a u32 column holds.
@@ -123,7 +120,6 @@ class RankedList:
 
     modality: Optional[Modality]
     items: list[tuple[ClipRef, float]]
-    depth: int
 
 
 def split_sentences(text: str) -> list[str]:
@@ -239,7 +235,7 @@ def search(index: ModalityIndex, vec: SparseVector, n: int) -> RankedList:
     items = [
         (made[i] or index.ref(i), score) for i, score in zip(top.tolist(), scores[top].tolist())
     ]
-    return RankedList(modality=index.modality, items=items, depth=n)
+    return RankedList(modality=index.modality, items=items)
 
 
 def _header_line(header: dict) -> bytes:

@@ -18,7 +18,7 @@ import pytest
 from cliproute.cli import EXIT_OK, main
 from cliproute.corpus import ClipRef, MODALITIES, Modality, load_queries
 from cliproute.evaluation import cost_reduction, graded_relevance, ndcg_at_k, routing_stats
-from cliproute.fusion import linear_fuse, rrf_fuse
+from cliproute.fusion import FusionMethod, fuse
 from cliproute.index import RankedList
 from cliproute.router import (
     Origin,
@@ -38,12 +38,13 @@ def _ref(i):
     return ClipRef(f"v{i:02d}", 0, 10)
 
 
-def _ranked(modality, refs, depth):
-    return RankedList(
-        modality=modality,
-        items=[(ref, 1.0 - 0.01 * r) for r, ref in enumerate(refs)],
-        depth=depth,
-    )
+def _ranked(modality, refs):
+    items = [(ref, 1.0 - 0.01 * r) for r, ref in enumerate(refs)]
+    return RankedList(modality=modality, items=items)
+
+
+def _refs(fused):
+    return [item.ref for item in fused]
 
 
 def _brute_force(lists, method, n, k_const=60.0):
@@ -72,24 +73,26 @@ def test_criterion_1_fusion_oracle_equivalence():
         lists = []
         for modality in modalities:
             refs = rng.sample(pool, rng.randint(0, min(n, len(pool))))
-            lists.append(_ranked(modality, refs, n))
-        assert linear_fuse(lists, n).refs == _brute_force(lists, "linear", n)
-        assert rrf_fuse(lists, k_const=60.0).refs == _brute_force(lists, "rrf", n)
+            lists.append(_ranked(modality, refs))
+        linear = fuse(lists, FusionMethod.LINEAR, n)
+        rrf = fuse(lists, FusionMethod.RRF, n, 60.0)
+        assert _refs(linear) == _brute_force(lists, "linear", n)
+        assert _refs(rrf) == _brute_force(lists, "rrf", n)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     print(f"ACCEPTANCE 1 PASS - fusion matches brute-force oracle on 200 instances ({elapsed:.2f}s)")
 
 
 def test_criterion_2_linear_fusion_spot_values():
-    asr = _ranked(Modality.ASR, [_ref(1), _ref(2), _ref(3)], 10)
-    ocr = _ranked(Modality.OCR, [_ref(4), _ref(5), _ref(1)], 10)
-    fused = linear_fuse([asr, ocr], 10)
-    scores = {item.ref: item.score for item in fused.items}
+    asr = _ranked(Modality.ASR, [_ref(1), _ref(2), _ref(3)])
+    ocr = _ranked(Modality.OCR, [_ref(4), _ref(5), _ref(1)])
+    fused = fuse([asr, ocr], FusionMethod.LINEAR, 10)
+    scores = {item.ref: item.score for item in fused}
     assert scores[_ref(1)] == 16.0
 
     refs = [_ref(9), _ref(4), _ref(7)]
-    single = linear_fuse([_ranked(Modality.VISUAL, refs, 10)], 10)
-    assert single.refs == refs
+    single = fuse([_ranked(Modality.VISUAL, refs)], FusionMethod.LINEAR, 10)
+    assert _refs(single) == refs
     print("ACCEPTANCE 2 PASS - rank-1 + rank-3 at n=10 scores 16; single list preserves order")
 
 

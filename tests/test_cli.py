@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -14,6 +15,8 @@ import pytest
 from cliproute import embed
 from cliproute.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _build_parser, main
 from cliproute.corpus import load_corpus, load_queries, normalize_text
+from cliproute.embed import MAX_DIM
+from cliproute.evaluation import NDCG_LEGEND
 from cliproute.index import load_index
 from cliproute.router import ALL_CUE_WORDS, rule_route
 
@@ -131,6 +134,16 @@ class TestBuildIndex:
         )
         assert code == EXIT_USAGE
         assert "unknown embedder" in capsys.readouterr().err
+
+    def test_dim_above_the_ceiling_is_usage_error(self, workspace, capsys):
+        _gen(workspace)
+        capsys.readouterr()
+        argv = ["build-index", "--corpus", str(workspace["corpus"])]
+        argv += ["--index-dir", str(workspace["index_dir"]), "--dim", str(MAX_DIM + 1)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: dim must be <= {MAX_DIM}, got {MAX_DIM + 1}\n"
+        assert not workspace["index_dir"].exists()
 
     def test_no_fused_flag(self, workspace):
         _gen(workspace)
@@ -405,6 +418,38 @@ class TestEvaluate:
         assert float(fields["cost_reduction"]) == pytest.approx(1 - mean / 3, abs=5e-5)
         assert mean < 3.0
 
+    def test_empty_query_file_reports_zeros(self, workspace, tmp_path, capsys):
+        _gen(workspace)
+        _build(workspace)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        methods = ["routed:rule", "late_fusion_all", "single:asr", "all_text"]
+        paths = {**workspace, "queries": empty}
+        assert self._evaluate(paths, ",".join(methods)) == EXIT_OK
+        zeros = dict.fromkeys(
+            ["recall_at_1", "recall_at_5", "recall_at_10", "mrr", "ndcg_at_5", "ndcg_at_10"],
+            0.0,
+        )
+        expected = {
+            "reports": [
+                {
+                    "method": method,
+                    "n_queries": 0,
+                    **zeros,
+                    "mean_selected": 0.0,
+                    "cost_reduction": 0.0,
+                    "routing": None,
+                    "unembeddable_queries": 0,
+                    "by_source": {},
+                    "by_category": {},
+                    "legend": NDCG_LEGEND,
+                }
+                for method in methods
+            ]
+        }
+        rendered = json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        assert workspace["report"].read_text(encoding="utf-8") == rendered
+
     def test_rule_router_selects_specific_cues_on_synthetic(self, workspace, capsys):
         _gen(workspace)
         _build(workspace)
@@ -471,6 +516,23 @@ class TestEvaluate:
         assert self._evaluate(workspace, "single:asr") == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err == f"error: {path}: unsupported version 2; rebuild with build-index\n"
+
+    def test_signed_header_dim_above_the_ceiling_is_runtime_error(self, workspace, capsys):
+        _gen(workspace)
+        _build(workspace)
+        path = workspace["index_dir"] / "asr.idx"
+        line, _, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(line)
+        del header["sha256"]
+        header["dim"] = header["embedder"]["dim"] = MAX_DIM + 1
+        unsigned = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+        header["sha256"] = hashlib.sha256(unsigned + payload).hexdigest()
+        path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
+        capsys.readouterr()
+        assert self._evaluate(workspace, "single:asr") == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: bad header: ")
+        assert f"embedder dim must be <= {MAX_DIM}, got {MAX_DIM + 1}" in err
 
     def test_mixed_embedders_rejected_at_load(self, workspace, tmp_path, capsys):
         _gen(workspace)
@@ -727,3 +789,21 @@ class TestColdStart:
         outcome = json.loads(result.stdout.splitlines()[-1])
         assert outcome["codes"] == [EXIT_OK, EXIT_OK]
         assert outcome["loaded"] == []
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["cliproute", "cliproute.cli"])
+    def test_python_dash_m_runs_commands(self, workspace, module):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = [sys.executable, "-m", module, "gen-corpus", "--videos", "2"]
+        argv += ["--clips-per-video", "1", "--seed", "1"]
+        argv += ["--corpus", str(workspace["corpus"]), "--queries", str(workspace["queries"])]
+        run = dict(env=env, capture_output=True, text=True, timeout=120)
+        result = subprocess.run(argv, **run)
+        assert result.returncode == EXIT_OK, result.stderr
+        assert len(load_corpus(workspace["corpus"])) == 2
+        assert len(load_queries(workspace["queries"])) == 6
+        bad = subprocess.run(argv + ["--bogus"], **run)
+        assert bad.returncode == EXIT_USAGE
+        assert bad.stderr.startswith("usage error: unrecognized arguments: --bogus")

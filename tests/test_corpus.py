@@ -177,7 +177,7 @@ class TestLoadCorpus:
         )
         corpus = load_corpus(path)
         assert len(corpus) == 2
-        assert corpus.get(ClipRef("v", 10, 20)).category == "news"
+        assert corpus.clips[ClipRef("v", 10, 20)].category == "news"
 
     def test_duplicate_clip_id_names_the_id(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -353,7 +353,7 @@ class TestSyntheticGenerator:
         prefixes = {"asr": "who says", "ocr": "sign text", "visuals": "describe the scene"}
         for query in queries:
             assert query.text.startswith(prefixes[query.source_modality])
-            assert query.category == corpus.get(query.gold).category
+            assert query.category == corpus.clips[query.gold].category
 
     def test_full_coverage_of_all_fields(self):
         corpus, _ = generate_synthetic_corpus(9, 3, 2)

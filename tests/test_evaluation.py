@@ -510,7 +510,7 @@ def _old_evaluation_refs(query, decision, indices, depth, method, rrf_k, use_rew
         return None
     if len(lists) == 1:
         return [ref for ref, _ in lists[0].items]
-    return fuse(lists, method, depth, rrf_k).refs
+    return [item.ref for item in fuse(lists, method, depth, rrf_k)]
 
 
 def _old_query_items(query, decision, indices, depth, method, rrf_k, use_rewrites):
@@ -522,7 +522,7 @@ def _old_query_items(query, decision, indices, depth, method, rrf_k, use_rewrite
         text = optimized if use_rewrites else query.text
         lists.append(search(index, embed_text(index.embedder, text), depth))
     non_empty = [ranked for ranked in lists if ranked.items]
-    return fuse(non_empty, method, depth, rrf_k).items if non_empty else []
+    return fuse(non_empty, method, depth, rrf_k) if non_empty else []
 
 
 def _strip_cues(text):

@@ -295,7 +295,6 @@ class TestSearch:
         index = build_index(corpus, Modality.ASR, spec)
         ranked = search(index, embed_text(spec, "alpha"), 10)
         assert len(ranked.items) == 2
-        assert ranked.depth == 10
         scores = [s for _, s in ranked.items]
         assert scores == sorted(scores, reverse=True)
 
