@@ -227,6 +227,11 @@ class EvalReport:
     cost_reduction: float
     routing: Optional[RoutingStats]
     unembeddable_queries: int
+    #: How the report was made: run_evaluation's retrieval arguments.
+    fusion: str
+    rrf_k: float
+    depth: int
+    use_rewrites: bool
     by_source: dict[str, BreakdownRow] = field(default_factory=dict)
     by_category: dict[str, BreakdownRow] = field(default_factory=dict)
     legend: str = NDCG_LEGEND
@@ -422,6 +427,10 @@ def run_evaluation(
         cost_reduction=cost_reduction(mean_selected) if n else 0.0,
         routing=stats,
         unembeddable_queries=unembeddable,
+        fusion=fusion_method.value,
+        rrf_k=rrf_k,
+        depth=depth,
+        use_rewrites=use_rewrites,
         by_source=breakdown(source_groups),
         by_category=breakdown(category_groups),
     )

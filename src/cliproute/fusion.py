@@ -43,7 +43,7 @@ class FusedItem:
 
 def fuse(
     lists: Sequence[RankedList],
-    method: FusionMethod,
+    method: FusionMethod | str,
     n: int,
     rrf_k: float = DEFAULT_RRF_K,
 ) -> list[FusedItem]:
@@ -51,9 +51,14 @@ def fuse(
 
     A list holding an item at ``rank`` adds ``n - rank`` (linear) or
     ``1 / (rrf_k + rank)`` (RRF), in list order. Contributions fall strictly
-    as rank grows, so a single list keeps its own order. Returns the fused
-    items, best first.
+    as rank grows, so a single list keeps its own order. ``method`` may be
+    given by its wire name, and an unknown one raises :class:`FusionError`.
+    Returns the fused items, best first.
     """
+    try:
+        method = FusionMethod(method)
+    except ValueError:
+        raise FusionError(f"unknown fusion method {method!r}") from None
     if not lists:
         raise FusionError("fusion requires at least one ranked list")
     if len(lists) > 3:

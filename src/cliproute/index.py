@@ -3,8 +3,11 @@
 One immutable index per searchable source (the three modalities plus the
 optional fused-caption index): each clip's text is split into sentences,
 every sentence embedded, and the sentence vectors mean-pooled into a single
-re-normalized vector per clip. Each clip row keeps only its nonzero entries
-(CSR form); the hashed reference embedder fills about 19 of 4,096 buckets.
+re-normalized vector per clip. A build pools a block of clips at a time in
+one vectorized pass; only each row's norm runs per clip, over a full-width
+row, so every weight is bit-equal to pooling full-width rows one by one.
+Each clip row keeps only its nonzero entries (CSR form); the hashed
+reference embedder fills about 19 of 4,096 buckets.
 Search scores postings exactly: it gathers the postings of the query's
 buckets, sums each clip's products in ascending bucket order (bit-equal to a
 sequential dot product), and returns only clips with a positive score.
@@ -23,6 +26,7 @@ import hashlib
 import json
 import re
 from dataclasses import asdict, dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Optional
 
@@ -38,6 +42,9 @@ DEFAULT_DEPTH = 50
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
 #: The largest clip time a u32 column holds.
 _MAX_TIME_S = 2**32 - 1
+#: Clips a build pools in one vectorized pass: enough to spread each pass's
+#: fixed numpy cost thin, few enough that its scratch memory stays small.
+_POOL_BLOCK = 256
 
 
 class IndexingError(RuntimeError):
@@ -127,36 +134,52 @@ def split_sentences(text: str) -> list[str]:
     return [part for part in _SENTENCE_SPLIT_RE.split(text) if part.strip()]
 
 
-def _pool_clip_vector(
-    spec: EmbedderSpec, text: str
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The (buckets, weights) of the normalized mean of the text's sentence
-    vectors, bit-equal to pooling full-width rows; None if nothing remains."""
-    vectors = [embed_text(spec, sentence) for sentence in split_sentences(text)]
-    vectors = [vec for vec in vectors if not is_zero(vec)]
-    if not vectors:
-        return None
-    buckets = np.concatenate([vec.buckets for vec in vectors], dtype=np.intp)
-    # bincount adds each column's weights in sentence order, as the dense
-    # row-by-row mean does; the absent 0.0 terms it skips change no sum.
-    pooled = np.bincount(
-        buckets, weights=np.concatenate([vec.weights for vec in vectors]), minlength=spec.dim
-    )
-    # The sorted union of the sentence buckets. intp keeps the fancy indexing
-    # below cast-free; np.unique would import numpy.ma (~1 MB) on first use.
-    support = np.array(sorted(set(buckets.tolist())), dtype=np.intp)
-    # Dividing only the support by k leaves the rest at 0.0, as 0.0 / k is.
-    means = pooled[support] / len(vectors)
-    pooled[support] = means
+def _pool_block(rows: list[list[SparseVector]], scratch: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Pool a block of clip rows, each the list of its non-empty sentence
+    vectors, in one pass.
+
+    Each row is bit-equal to pooling full-width rows: the mean of its
+    sentence vectors divided by the norm of that full-width mean. Returns
+    which rows to keep (those whose norm is not 0.0) and, for the kept rows
+    in order, each one's nonzero count, then all their buckets and weights.
+    ``scratch`` is a dim-wide zero row, and is left zero.
+    """
+    dim = len(scratch)
+    vectors = [vec for row in rows for vec in row]
+    sizes = [sum(len(vec.buckets) for vec in row) for row in rows]
+    # Each sentence entry keyed by (row, bucket) as row * dim + bucket.
+    keys = np.repeat(np.arange(0, len(rows) * dim, dim), sizes)
+    keys += np.concatenate([vec.buckets for vec in vectors], dtype=np.intp)
+    weights = np.concatenate([vec.weights for vec in vectors])
+    # The stable sort keeps each key's entries in sentence order, and
+    # bincount adds them in that order from 0.0: the sums of the dense
+    # row-by-row mean, whose absent 0.0 terms change no sum. np.unique
+    # would import numpy.ma (~1 MB) on first use.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    sums = np.bincount(np.cumsum(first) - 1, weights=weights[order])
+    entry_rows, entry_buckets = np.divmod(keys[first], dim)
+    means = sums / np.array([len(row) for row in rows], dtype=np.float64)[entry_rows]
     # The norm runs over the full-width row: a norm over the nonzeros alone
     # sums in another order and can change the last bit of a stored weight.
-    norm = float(np.linalg.norm(pooled))
-    if norm == 0.0:
-        return None
-    weights = means / norm
+    ptr = np.searchsorted(entry_rows, np.arange(len(rows) + 1)).tolist()
+    row_norms = []
+    for lo, hi in zip(ptr[:-1], ptr[1:]):
+        support = entry_buckets[lo:hi]
+        scratch[support] = means[lo:hi]
+        row_norms.append(np.linalg.norm(scratch))
+        scratch[support] = 0.0
+    norms = np.array(row_norms)
+    keep = norms != 0.0
+    stored = keep[entry_rows]
+    entry_rows, entry_buckets = entry_rows[stored], entry_buckets[stored]
+    weights = means[stored] / norms[entry_rows]
     # Signed sentence weights can cancel to 0.0, and no stored weight is 0.
     nonzero = weights != 0
-    return support[nonzero], weights[nonzero]
+    row_nnz = np.bincount(entry_rows[nonzero], minlength=len(rows))[keep]
+    return keep, row_nnz, entry_buckets[nonzero], weights[nonzero]
 
 
 def _build_for_source(corpus: Corpus, source: str, spec: EmbedderSpec) -> ModalityIndex:
@@ -164,26 +187,51 @@ def _build_for_source(corpus: Corpus, source: str, spec: EmbedderSpec) -> Modali
     video_numbers: list[int] = []
     starts: list[int] = []
     ends: list[int] = []
-    # A leading empty row keeps concatenate valid for an empty index and makes
-    # the cumulative row lengths start at 0, as indptr does.
+    # Leading empty entries keep concatenate valid for an empty index.
+    row_nnz: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
     row_buckets: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
     row_weights: list[np.ndarray] = [np.zeros(0, dtype=np.float64)]
     skipped = 0
+    scratch = np.zeros(spec.dim)
+    # The pending block: each clip's ref and its non-empty sentence vectors.
+    refs: list[ClipRef] = []
+    rows: list[list[SparseVector]] = []
+
+    def pool_block() -> None:
+        nonlocal skipped
+        keep, nnz, buckets, weights = _pool_block(rows, scratch)
+        for ref in compress(refs, keep.tolist()):
+            if ref.end_s > _MAX_TIME_S:
+                raise IndexingError(
+                    f"clip {ref.clip_id}: times above {_MAX_TIME_S} s do not fit the index"
+                )
+            video_numbers.append(numbers.setdefault(ref.video_id, len(numbers)))
+            starts.append(ref.start_s)
+            ends.append(ref.end_s)
+        skipped += len(rows) - len(nnz)
+        row_nnz.append(nnz)
+        row_buckets.append(buckets)
+        row_weights.append(weights)
+        refs.clear()
+        rows.clear()
+
     for clip in corpus:
         text = clip.text_for(source)
-        row = _pool_clip_vector(spec, text) if text else None
-        if row is None:
+        vectors = [embed_text(spec, sentence) for sentence in split_sentences(text or "")]
+        vectors = [vec for vec in vectors if not is_zero(vec)]
+        if not vectors:
             skipped += 1
             continue
-        ref = clip.ref
-        if ref.end_s > _MAX_TIME_S:
-            raise IndexingError(f"clip {ref.clip_id}: times above {_MAX_TIME_S} s do not fit the index")
-        video_numbers.append(numbers.setdefault(ref.video_id, len(numbers)))
-        starts.append(ref.start_s)
-        ends.append(ref.end_s)
-        row_buckets.append(row[0])
-        row_weights.append(row[1])
-    indptr = np.cumsum([len(b) for b in row_buckets], dtype=np.int64)
+        refs.append(clip.ref)
+        rows.append(vectors)
+        # A clip past the u32 time columns ends its block, so its error comes
+        # before any later clip is embedded, as it would clip by clip.
+        if len(rows) == _POOL_BLOCK or clip.ref.end_s > _MAX_TIME_S:
+            pool_block()
+    if rows:
+        pool_block()
+    indptr = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
     stats = BuildStats(indexed=len(starts), skipped=skipped, empty=not starts)
     return ModalityIndex(
         source=source,

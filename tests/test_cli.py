@@ -440,6 +440,10 @@ class TestEvaluate:
                     "cost_reduction": 0.0,
                     "routing": None,
                     "unembeddable_queries": 0,
+                    "fusion": "linear",
+                    "rrf_k": 60.0,
+                    "depth": 50,
+                    "use_rewrites": False,
                     "by_source": {},
                     "by_category": {},
                     "legend": NDCG_LEGEND,
@@ -449,6 +453,20 @@ class TestEvaluate:
         }
         rendered = json.dumps(expected, sort_keys=True, indent=2) + "\n"
         assert workspace["report"].read_text(encoding="utf-8") == rendered
+
+    def test_reports_record_how_they_were_made(self, workspace, capsys):
+        _gen(workspace)
+        _build(workspace)
+        rendered = {}
+        for fusion in ("linear", "rrf"):
+            extra = ["--fusion", fusion, "--depth", "20", "--rrf-k", "30", "--use-rewrites"]
+            assert self._evaluate(workspace, "routed:rule,all_text", extra=extra) == EXIT_OK
+            rendered[fusion] = workspace["report"].read_text(encoding="utf-8")
+        assert rendered["linear"] != rendered["rrf"]
+        for fusion, text in rendered.items():
+            for report in json.loads(text)["reports"]:
+                made = (report["fusion"], report["rrf_k"], report["depth"], report["use_rewrites"])
+                assert made == (fusion, 30.0, 20, True)
 
     def test_rule_router_selects_specific_cues_on_synthetic(self, workspace, capsys):
         _gen(workspace)

@@ -208,3 +208,16 @@ class TestDispatch:
         lists = [_ranked(Modality.ASR, [_ref(1), _ref(2)])]
         assert fuse(lists, FusionMethod.LINEAR, 10)[0].score == 9.0
         assert fuse(lists, FusionMethod.RRF, 10, 60.0)[0].score == 1.0 / 61.0
+
+    @pytest.mark.parametrize("method", list(FusionMethod))
+    def test_wire_names_fuse_as_their_methods(self, method):
+        lists = [
+            _ranked(Modality.ASR, [_ref(1), _ref(2)]),
+            _ranked(Modality.OCR, [_ref(2), _ref(3)]),
+        ]
+        assert fuse(lists, method.value, 10) == fuse(lists, method, 10)
+
+    @pytest.mark.parametrize("method", ["bogus", "LINEAR", "", None])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(FusionError, match="unknown fusion method"):
+            fuse([_ranked(Modality.ASR, [_ref(1)])], method, 10)

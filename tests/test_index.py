@@ -20,8 +20,11 @@ from cliproute.embed import (
     embed_text,
     register_embedder,
 )
+from cliproute import index as index_module
 from cliproute.index import (
+    _POOL_BLOCK,
     INDEX_SOURCES,
+    BuildStats,
     IndexingError,
     build_fused_index,
     build_index,
@@ -107,10 +110,24 @@ def _dense_embed(spec, text):
 register_embedder("test-dense", _dense_embed)
 
 
+_SIGNED_SENTENCES = {
+    "up": ([1, 3], [0.6, 0.8]),
+    "down": ([1, 5], [-0.6, 0.8]),
+    "plus": ([2, 4], [0.6, 0.8]),
+    "minus": ([2, 4], [-0.6, -0.8]),
+    "unsorted": ([4, 2], [0.6, 0.8]),
+}
+
+
 def _signed_embed(spec, text):
     """A registered embedder whose sentences "up" and "down" hold bucket 1
-    with opposite signs, so a clip saying both pools it to exactly 0.0."""
-    buckets, weights = {"up": ([1, 3], [0.6, 0.8]), "down": ([1, 5], [-0.6, 0.8])}[text.strip()]
+    with opposite signs, so a clip saying both pools it to exactly 0.0, and
+    whose "plus" and "minus" are exact negatives, so a clip saying both pools
+    to the zero row. "unsorted" breaks the SparseVector contract, and other
+    text embeds as the reference embedder's."""
+    if text.strip() not in _SIGNED_SENTENCES:
+        return embed_text(default_spec(spec.dim), text)
+    buckets, weights = _SIGNED_SENTENCES[text.strip()]
     return SparseVector(spec.dim, np.array(buckets), np.array(weights))
 
 
@@ -129,6 +146,14 @@ def _assert_rows_equal_dense_pooling(index, corpus):
         lo, hi = index.indptr[i], index.indptr[i + 1]
         assert np.array_equal(index.buckets[lo:hi], np.flatnonzero(pooled))
         assert index.weights[lo:hi].tobytes() == pooled[pooled != 0].tobytes()
+
+
+def _pools_to_a_row(spec, text):
+    """Whether the dense mean of the text's non-empty sentence vectors has a
+    nonzero norm, so that its clip gets a row."""
+    vectors = [_dense(embed_text(spec, s)) for s in split_sentences(text or "")]
+    vectors = [v for v in vectors if v.any()]
+    return bool(vectors) and float(np.linalg.norm(np.mean(vectors, axis=0))) != 0.0
 
 
 class TestBuildIndex:
@@ -269,6 +294,60 @@ class TestBuildIndex:
         assert np.array_equal(loaded.indptr, index.indptr)
         assert np.array_equal(loaded.buckets, index.buckets)
         assert loaded.weights.tobytes() == index.weights.tobytes()
+
+    @pytest.mark.parametrize("start", [0, 2**32])
+    def test_a_row_that_pools_to_zero_is_skipped(self, tmp_path, start):
+        # The skipped clip gets no time check, so times past the u32
+        # columns do not stop the build either.
+        cancelled = ClipRecord(ref=ClipRef("b", start, start + 10), asr_text="plus. minus")
+        corpus = _corpus(_clip("a", 0, asr_text="up"), cancelled)
+        index = build_index(corpus, Modality.ASR, EmbedderSpec("test-signed", 16))
+        assert index.build_stats == BuildStats(indexed=1, skipped=1)
+        assert _refs(index) == [ClipRef("a", 0, 10)]
+        save_index(index, tmp_path / "asr.idx")
+        assert _refs(load_index(tmp_path / "asr.idx")) == [ClipRef("a", 0, 10)]
+
+    def test_rows_do_not_depend_on_the_pooling_blocks(self, tmp_path, monkeypatch):
+        # More than two blocks and a size that is not a multiple of one:
+        # one- and multi-sentence texts, empty fields, partial cancellation
+        # ("up. down") and rows that pool to zero ("plus. minus").
+        rng = random.Random(13)
+        sentences = ["up", "down", "plus", "minus", *_WORDS, "amber basil", "cedar iris maple"]
+        texts = []
+        for i in range(2 * _POOL_BLOCK + 37):
+            if i % 41 == 0:
+                texts.append("plus. minus")
+            elif i % 29 == 0:
+                texts.append(rng.choice([None, "?!"]))
+            else:
+                count = rng.choice([1, 1, 2, 3, 6])
+                texts.append(". ".join(rng.choice(sentences) for _ in range(count)))
+        corpus = _corpus(
+            *[
+                _clip(f"v{i % 50:02d}", 10 * (i // 50), asr_text=text, visual_caption="scene")
+                for i, text in enumerate(texts)
+            ]
+        )
+        spec = EmbedderSpec("test-signed", 64)
+        index = build_index(corpus, Modality.ASR, spec)
+        _assert_rows_equal_dense_pooling(index, corpus)
+        kept = [clip.ref for clip in corpus if _pools_to_a_row(spec, clip.asr_text)]
+        assert _refs(index) == kept
+        assert index.build_stats == BuildStats(indexed=len(kept), skipped=len(texts) - len(kept))
+        assert index.build_stats.skipped >= sum(t in (None, "?!", "plus. minus") for t in texts) > 0
+        save_index(index, tmp_path / "blocks.idx")
+        monkeypatch.setattr(index_module, "_POOL_BLOCK", 1)
+        save_index(build_index(corpus, Modality.ASR, spec), tmp_path / "one_by_one.idx")
+        assert (tmp_path / "blocks.idx").read_bytes() == (tmp_path / "one_by_one.idx").read_bytes()
+
+    def test_a_time_error_comes_before_later_clips_are_embedded(self):
+        late = ClipRecord(ref=ClipRef("a", 2**32, 2**32 + 10), asr_text="up")
+        broken = _clip("b", 0, asr_text="unsorted")
+        signed = EmbedderSpec("test-signed", 16)
+        with pytest.raises(IndexingError, match="clip a__s4294967296__e4294967306: "):
+            build_index(_corpus(late, broken), Modality.ASR, signed)
+        with pytest.raises(EmbeddingError, match="do not increase"):
+            build_index(_corpus(broken), Modality.ASR, signed)
 
     def test_split_sentences(self):
         assert split_sentences("One. Two! Three?") == ["One", " Two", " Three"]
