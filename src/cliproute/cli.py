@@ -32,6 +32,7 @@ from .corpus import (
     save_queries,
 )
 from .embed import (
+    DEFAULT_DIM,
     MAX_DIM,
     REFERENCE_EMBEDDER,
     EmbedderSpec,
@@ -40,8 +41,9 @@ from .embed import (
     registered_embedders,
 )
 from .evaluation import EvalError, EvalMethod, MethodKind, retrieve, run_evaluation
-from .fusion import FusionMethod
+from .fusion import DEFAULT_RRF_K, FusionMethod
 from .index import (
+    DEFAULT_DEPTH,
     IndexingError,
     ModalityIndex,
     build_fused_index,
@@ -60,6 +62,8 @@ EXIT_RUNTIME = 2
 
 # Placeholder gold ref for ad-hoc CLI queries; never resolved.
 _CLI_GOLD = ClipRef(video_id="cli", start_s=0, end_s=1)
+_FUSIONS = [method.value for method in FusionMethod]
+_ROUTER_MODES = [mode.value for mode in RouterMode]
 
 
 class UsageError(ValueError):
@@ -74,12 +78,12 @@ class RunConfig:
     queries: Optional[str] = None
     index_dir: Optional[str] = None
     embedder: str = REFERENCE_EMBEDDER
-    dim: int = 4096
-    depth: int = 50
-    fusion: str = "linear"
-    rrf_k: float = 60.0
+    dim: int = DEFAULT_DIM
+    depth: int = DEFAULT_DEPTH
+    fusion: str = FusionMethod.LINEAR.value
+    rrf_k: float = DEFAULT_RRF_K
     router: str = "rule"
-    router_mode: str = "multi"
+    router_mode: str = RouterMode.MULTI.value
     fallback_on_error: bool = True
     llm_base_url: Optional[str] = None
     llm_model: Optional[str] = None
@@ -99,8 +103,7 @@ class RunConfig:
     def validate_common(self) -> None:
         if self.depth < 10:
             raise UsageError(f"depth must be >= 10, got {self.depth}")
-        if self.fusion not in ("linear", "rrf"):
-            raise UsageError(f"fusion must be 'linear' or 'rrf', got {self.fusion!r}")
+        _check_choice("fusion", self.fusion, _FUSIONS)
         if not (math.isfinite(self.rrf_k) and self.rrf_k > 0):
             raise UsageError(f"rrf_k must be finite and positive, got {self.rrf_k}")
         if not (math.isfinite(self.llm_timeout_s) and self.llm_timeout_s > 0):
@@ -111,8 +114,7 @@ class RunConfig:
             raise UsageError(
                 f"router must be one of {ROUTER_BACKENDS}, got {self.router!r}"
             )
-        if self.router_mode not in ("multi", "single"):
-            raise UsageError(f"router_mode must be 'multi' or 'single', got {self.router_mode!r}")
+        _check_choice("router_mode", self.router_mode, _ROUTER_MODES)
         if self.dim < 8:
             raise UsageError(f"dim must be >= 8, got {self.dim}")
         if self.dim > MAX_DIM:
@@ -143,6 +145,11 @@ class RunConfig:
             replay_path=self.replay_fixture,
             audit_path=self.audit_log,
         )
+
+
+def _check_choice(key: str, value: str, choices: list[str]) -> None:
+    if value not in choices:
+        raise UsageError(f"{key} must be {' or '.join(map(repr, choices))}, got {value!r}")
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -422,7 +429,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file; flags override its keys")
         if router:
             p.add_argument("--router", choices=list(ROUTER_BACKENDS), help="router backend")
-            p.add_argument("--router-mode", choices=["multi", "single"])
+            p.add_argument("--router-mode", choices=_ROUTER_MODES)
             p.add_argument("--fallback-on-error", action=toggle)
             p.add_argument("--replay-fixture")
             p.add_argument("--audit-log")
@@ -431,7 +438,7 @@ def _build_parser() -> _Parser:
         if retrieval:
             p.add_argument("--index-dir")
             p.add_argument("--depth", type=int)
-            p.add_argument("--fusion", choices=["linear", "rrf"])
+            p.add_argument("--fusion", choices=_FUSIONS)
             p.add_argument("--rrf-k", type=float)
             p.add_argument("--use-rewrites", action=toggle)
         return p

@@ -7,17 +7,17 @@ re-normalized vector per clip. A build pools a block of clips at a time in
 one vectorized pass; only each row's norm runs per clip, over a full-width
 row, so every weight is bit-equal to pooling full-width rows one by one.
 Each clip row keeps only its nonzero entries (CSR form); the hashed
-reference embedder fills about 19 of 4,096 buckets.
-Search scores postings exactly: it gathers the postings of the query's
-buckets, sums each clip's products in ascending bucket order (bit-equal to a
-sequential dot product), and returns only clips with a positive score.
+reference embedder fills about 19 of 4,096 buckets. Search scores postings
+exactly: it sums each clip's products over the query's buckets in ascending
+bucket order (bit-equal to a sequential dot product) and returns only clips
+with a positive score, equal scores in row order, which is clip-id order.
 The on-disk format is versioned, self-describing and checksummed, so files
-round-trip bit-exactly and damaged files are rejected when loaded; its
-payload is whole columns, each read back with one ``np.frombuffer`` and
-copied out of the file's bytes. An index keeps its clips as those columns
-(video ids, each row's video number, start and end) and makes a
-:class:`ClipRef` only for the rows a search returns, so a load builds no
-object per clip; the file format and its bytes are the same either way.
+round-trip bit-exactly and damaged or out-of-order files are rejected when
+loaded; its payload is whole columns, each read back with one
+``np.frombuffer`` and copied out of the file's bytes. An index keeps its
+clips as those columns (video ids, each row's video number, start and end)
+and makes a :class:`ClipRef` only for the rows a search returns, so a load
+builds no object per clip; the file bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .embed import EmbedderSpec, EmbeddingError, SparseVector, embed_text, is_ze
 
 FORMAT_NAME = "cliproute-index"
 FORMAT_VERSION = 3
+_REBUILD = "rebuild with build-index"
 DEFAULT_DEPTH = 50
 
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
@@ -57,9 +58,6 @@ class BuildStats:
     skipped: int
     empty: bool = False
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ModalityIndex:
@@ -67,9 +65,9 @@ class ModalityIndex:
 
     Row ``i`` is the clip of video ``video_ids[video_numbers[i]]`` from
     ``start_s[i]`` to ``end_s[i]``, whose ClipRef :meth:`ref` makes on first
-    use. The row holds ``weights[indptr[i]:indptr[i + 1]]`` at the strictly
-    increasing ``buckets[indptr[i]:indptr[i + 1]]``; every other entry of
-    the row is zero.
+    use; rows run in strictly ascending clip-id order. The row holds
+    ``weights[indptr[i]:indptr[i + 1]]`` at the strictly increasing
+    ``buckets[indptr[i]:indptr[i + 1]]``; every other entry is zero.
     """
 
     source: str
@@ -89,8 +87,7 @@ class ModalityIndex:
         self.modality = Modality.from_wire(self.source)
         # Bucket-major postings: bucket b's rows (ascending) and weights sit
         # at [_post_ptr[b], _post_ptr[b + 1]) of _post_rows / _post_weights.
-        count = len(self.start_s)
-        rows = np.repeat(np.arange(count), np.diff(self.indptr))
+        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
         # Keys of the narrowest type that holds every bucket id: numpy sorts
         # keys of up to 16 bits stably by radix, several times faster than
         # uint32 keys, and any stable sort gives the same order.
@@ -100,14 +97,8 @@ class ModalityIndex:
         self._post_weights = self.weights[order]
         self._post_ptr = np.zeros(self.embedder.dim + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.buckets, minlength=self.embedder.dim), out=self._post_ptr[1:])
-        # Rank of each clip id in sorted order drives the deterministic tie-break.
-        ids = clip_ids(
-            self.video_ids, self.video_numbers.tolist(), self.start_s.tolist(), self.end_s.tolist()
-        )
-        self._id_rank = np.empty(count, dtype=np.int64)
-        self._id_rank[sorted(range(count), key=ids.__getitem__)] = np.arange(count)
         # Row i's ClipRef once made, else None; search reads it directly.
-        self._refs: list[Optional[ClipRef]] = [None] * count
+        self._refs: list[Optional[ClipRef]] = [None] * len(self)
 
     def __len__(self) -> int:
         return len(self.start_s)
@@ -215,7 +206,7 @@ def _build_for_source(corpus: Corpus, source: str, spec: EmbedderSpec) -> Modali
         refs.clear()
         rows.clear()
 
-    for clip in corpus:
+    for clip in sorted(corpus, key=lambda record: record.ref.clip_id):
         text = clip.text_for(source)
         vectors = [embed_text(spec, sentence) for sentence in split_sentences(text or "")]
         vectors = [vec for vec in vectors if not is_zero(vec)]
@@ -260,7 +251,7 @@ def build_fused_index(corpus: Corpus, spec: EmbedderSpec) -> ModalityIndex:
 def search(index: ModalityIndex, vec: SparseVector, n: int) -> RankedList:
     """Exact top-n cosine search over the clips with a positive score.
 
-    Ties in score are broken by ascending canonical clip id. A query that
+    Ties in score are broken by row, which is ascending clip id. A query that
     shares no bucket with the index, such as the empty vector of
     unembeddable text, yields an empty result.
     """
@@ -278,7 +269,7 @@ def search(index: ModalityIndex, vec: SparseVector, n: int) -> RankedList:
     # in ascending bucket order: bit-equal to a sequential dot product.
     scores = np.bincount(index._post_rows[positions], weights=products, minlength=len(index))
     hits = np.flatnonzero(scores > 0)
-    top = hits[np.lexsort((index._id_rank[hits], -scores[hits]))[:n]]
+    top = hits[np.argsort(-scores[hits], kind="stable")[:n]]  # ties stay in row order
     made = index._refs
     items = [
         (made[i] or index.ref(i), score) for i, score in zip(top.tolist(), scores[top].tolist())
@@ -302,10 +293,10 @@ def save_index(index: ModalityIndex, path: str | Path) -> None:
 
     Layout: one canonical JSON header line, then whole little-endian
     columns: the u32 byte lengths of the distinct video ids (in order of
-    first use) and their UTF-8 bytes; per clip its u32 video number,
-    start_s, end_s and nnz; then all u32 bucket ids and all float64
-    weights, row after row. The header's ``sha256`` covers the rest of the
-    header and the payload. Writing the same index twice produces
+    first use) and their UTF-8 bytes; per clip, in clip-id order, its u32
+    video number, start_s, end_s and nnz; then all u32 bucket ids and all
+    float64 weights, row after row. The header's ``sha256`` covers the rest
+    of the header and the payload. Writing the same index twice produces
     identical bytes.
     """
     video_ids = [video.encode("utf-8") for video in index.video_ids]
@@ -330,7 +321,7 @@ def save_index(index: ModalityIndex, path: str | Path) -> None:
         "count": len(index),
         "videos": len(video_ids),
         "nnz": len(index.buckets),
-        "build_stats": index.build_stats.to_dict(),
+        "build_stats": asdict(index.build_stats),
     }
     header["sha256"] = _digest(header, payload)
     with Path(path).open("wb") as handle:
@@ -367,9 +358,7 @@ def _decode(data: bytes) -> ModalityIndex:
     if header.get("format") != FORMAT_NAME:
         raise IndexingError(f"unexpected format {header.get('format')!r}")
     if header.get("version") != FORMAT_VERSION:
-        raise IndexingError(
-            f"unsupported version {header.get('version')!r}; rebuild with build-index"
-        )
+        raise IndexingError(f"unsupported version {header.get('version')!r}; {_REBUILD}")
     if _header_line(header) != header_line:
         raise IndexingError("header is not in canonical form")
     try:
@@ -432,6 +421,9 @@ def _decode(data: bytes) -> ModalityIndex:
         raise IndexingError(f"bucket ids must increase within a row and stay below {dim}")
     if not np.all(np.isfinite(weights)) or np.any(weights == 0):
         raise IndexingError("weights must be finite and nonzero")
+    ids = clip_ids(video_ids, numbers.tolist(), starts.tolist(), ends.tolist())
+    out_of_order = np.fromiter(map(str.__ge__, ["", *ids], ids), bool, count)  # "" < every id
+    _check_rows(out_of_order, f"is not after the row before it in clip-id order; {_REBUILD}")
     return ModalityIndex(
         source=source,
         embedder=spec,

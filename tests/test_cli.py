@@ -4,7 +4,9 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import re
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -63,6 +65,18 @@ def _build(paths):
     )
 
 
+def _resign(path, edit):
+    """Rewrite an index file as ``edit(header, payload)`` leaves it (header
+    without its digest), signed with a valid digest."""
+    line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    del header["sha256"]
+    payload = edit(header, payload)
+    unsigned = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    header["sha256"] = hashlib.sha256(unsigned + payload).hexdigest()
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
+
+
 class TestGenCorpus:
     def test_generates_loadable_files(self, workspace, capsys):
         assert _gen(workspace) == EXIT_OK
@@ -118,6 +132,21 @@ class TestBuildIndex:
         first = (workspace["index_dir"] / "asr.idx").read_bytes()
         assert _build(workspace) == EXIT_OK
         assert (workspace["index_dir"] / "asr.idx").read_bytes() == first
+
+    def test_corpus_line_order_does_not_change_the_files(self, workspace, tmp_path):
+        _gen(workspace, videos=6)
+        assert _build(workspace) == EXIT_OK
+        lines = workspace["corpus"].read_text().splitlines(keepends=True)
+        shuffled = random.Random(5).sample(lines, len(lines))
+        assert shuffled != lines
+        other = {"corpus": tmp_path / "shuffled.jsonl", "index_dir": tmp_path / "shuffled"}
+        other["corpus"].write_text("".join(shuffled))
+        assert _build(other) == EXIT_OK
+        for source in ("asr", "ocr", "visuals", "fused"):
+            name = f"{source}.idx"
+            assert (other["index_dir"] / name).read_bytes() == (
+                workspace["index_dir"] / name
+            ).read_bytes()
 
     def test_unknown_embedder_is_usage_error(self, workspace, capsys):
         _gen(workspace)
@@ -344,6 +373,31 @@ class TestQuery:
         assert code == EXIT_RUNTIME
         assert "'asr'" in capsys.readouterr().err
 
+    def test_a_repeated_clip_row_is_runtime_error(self, workspace, capsys):
+        _gen(workspace)
+        _build(workspace)
+        path = workspace["index_dir"] / "asr.idx"
+
+        def repeat_row_0(header, payload):
+            # Row 1 takes row 0's video number, start and end.
+            videos, count = header["videos"], header["count"]
+            at = 4 * videos + sum(struct.unpack_from(f"<{videos}I", payload))
+            payload = bytearray(payload)
+            for column in range(at, at + 12 * count, 4 * count):
+                payload[column + 4 : column + 8] = payload[column : column + 4]
+            return bytes(payload)
+
+        _resign(path, repeat_row_0)
+        capsys.readouterr()
+        code = main(["query", "--index-dir", str(workspace["index_dir"]), "who says anything"])
+        assert code == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: clip row 1 is not after the row before it in clip-id order; "
+            "rebuild with build-index\n"
+        )
+
     def test_empty_query_usage_error(self, workspace):
         assert main(["query", "--index-dir", str(workspace["index_dir"]), ""]) == EXIT_USAGE
 
@@ -539,13 +593,12 @@ class TestEvaluate:
         _gen(workspace)
         _build(workspace)
         path = workspace["index_dir"] / "asr.idx"
-        line, _, payload = path.read_bytes().partition(b"\n")
-        header = json.loads(line)
-        del header["sha256"]
-        header["dim"] = header["embedder"]["dim"] = MAX_DIM + 1
-        unsigned = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-        header["sha256"] = hashlib.sha256(unsigned + payload).hexdigest()
-        path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
+
+        def widen(header, payload):
+            header["dim"] = header["embedder"]["dim"] = MAX_DIM + 1
+            return payload
+
+        _resign(path, widen)
         capsys.readouterr()
         assert self._evaluate(workspace, "single:asr") == EXIT_RUNTIME
         err = capsys.readouterr().err

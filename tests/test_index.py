@@ -98,6 +98,21 @@ def _oracle(index, dense_rows, vec, n):
     return [(ref, score) for ref, score in ranked if score > 0][:n]
 
 
+def _lexsort_search(index, vec, n):
+    """The search that row-order tie-breaks replaced: the oracle's scores,
+    positive only, lexsorted by (-score, the rank of each row's clip id among
+    the sorted ids), then the first n."""
+    query = _dense(vec)
+    support = np.flatnonzero(query)
+    scores = _full_width_scores(_dense_rows(index)[:, support], query[support])
+    ids = [ref.clip_id for ref in _refs(index)]
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    hits = np.flatnonzero(scores > 0)
+    top = hits[np.lexsort((rank[hits], -scores[hits]))[:n]]
+    return [(index.ref(i), score) for i, score in zip(top.tolist(), scores[top].tolist())]
+
+
 def _dense_embed(spec, text):
     """A registered embedder whose vectors fill every bucket, partly negative."""
     hashed = embed_text(default_spec(spec.dim), text)
@@ -332,6 +347,7 @@ class TestBuildIndex:
         index = build_index(corpus, Modality.ASR, spec)
         _assert_rows_equal_dense_pooling(index, corpus)
         kept = [clip.ref for clip in corpus if _pools_to_a_row(spec, clip.asr_text)]
+        kept.sort(key=lambda ref: ref.clip_id)
         assert _refs(index) == kept
         assert index.build_stats == BuildStats(indexed=len(kept), skipped=len(texts) - len(kept))
         assert index.build_stats.skipped >= sum(t in (None, "?!", "plus. minus") for t in texts) > 0
@@ -460,6 +476,26 @@ class TestSearch:
         assert ClipRef("b", 0, 10) not in returned
 
 
+#: Clips as (video, start, text). Video ids prefix one another, starts have
+#: decimal strings that sort apart from their values ("a__s10" < "a__s9"),
+#: and few distinct texts make many clips tie on every score.
+_TIED_CLIPS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "a_0", "a__s1", "a0", "b"]),
+        st.sampled_from([0, 1, 9, 10, 11, 90, 100, 1000]),
+        st.sampled_from(["amber", "amber basil", "basil", "amber. basil", "cedar"]),
+    ),
+    min_size=1,
+    max_size=16,
+    unique_by=lambda clip: clip[:2],
+)
+_TIED_QUERIES = st.lists(
+    st.sampled_from(["amber", "basil", "amber basil", "cedar amber", "zzz"]),
+    min_size=1,
+    max_size=4,
+)
+
+
 class TestSearchParity:
     """search() against the dense oracle: identical rankings, bit-equal scores."""
 
@@ -519,27 +555,7 @@ class TestSearchParity:
             assert search(index, vec, n).items == _oracle(index, dense, vec, n)
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
-    @given(
-        clips=st.lists(
-            st.tuples(
-                # Video ids that prefix one another, and starts whose decimal
-                # strings sort apart from their values ("a__s10" < "a__s9").
-                st.sampled_from(["a", "a_0", "a__s1", "a0", "b"]),
-                st.sampled_from([0, 1, 9, 10, 11, 90, 100, 1000]),
-                # Few distinct texts, so many clips tie on every score.
-                st.sampled_from(["amber", "amber basil", "basil", "amber. basil", "cedar"]),
-            ),
-            min_size=1,
-            max_size=16,
-            unique_by=lambda clip: clip[:2],
-        ),
-        queries=st.lists(
-            st.sampled_from(["amber", "basil", "amber basil", "cedar amber", "zzz"]),
-            min_size=1,
-            max_size=4,
-        ),
-        n=st.integers(1, 20),
-    )
+    @given(clips=_TIED_CLIPS, queries=_TIED_QUERIES, n=st.integers(1, 20))
     def test_tied_scores_on_built_and_loaded_indices(self, tmp_path_factory, clips, queries, n):
         corpus = _corpus(*[_clip(video, start, asr_text=text) for video, start, text in clips])
         spec = default_spec(64)
@@ -551,6 +567,26 @@ class TestSearchParity:
         for text in queries:
             vec = embed_text(spec, text)
             expected = _oracle(index, dense, vec, n)
+            assert search(index, vec, n).items == expected
+            assert search(loaded, vec, n).items == expected
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        clips=_TIED_CLIPS, seed=st.integers(0, 2**16), queries=_TIED_QUERIES, n=st.integers(1, 20)
+    )
+    def test_shuffled_corpora_rank_as_the_id_rank_lexsort(
+        self, tmp_path_factory, clips, seed, queries, n
+    ):
+        random.Random(seed).shuffle(clips)
+        corpus = _corpus(*[_clip(video, start, asr_text=text) for video, start, text in clips])
+        spec = default_spec(64)
+        index = build_index(corpus, Modality.ASR, spec)
+        path = tmp_path_factory.mktemp("shuffled") / "asr.idx"
+        save_index(index, path)
+        loaded = load_index(path)
+        for text in queries:
+            vec = embed_text(spec, text)
+            expected = _lexsort_search(index, vec, n)
             assert search(index, vec, n).items == expected
             assert search(loaded, vec, n).items == expected
 
@@ -675,6 +711,20 @@ def _set_video_id(video_id):
     return corrupt
 
 
+def _swap_the_rows(header, payload):
+    """The file's two rows in the other order, each with its nonzeros."""
+    at = _offsets(header, payload)
+    first_nnz = struct.unpack_from("<I", payload, at["nnz"])[0]
+    for column in ("video number", "start", "end", "nnz"):
+        first, second = struct.unpack_from("<II", payload, at[column])
+        payload = _put(payload, at[column], "<II", second, first)
+    for column, size in (("bucket", 4), ("weight", 8)):
+        lo, hi = at[column], at[column] + size * header["nnz"]
+        cut = lo + size * first_nnz
+        payload = payload[:lo] + payload[cut:hi] + payload[lo:cut] + payload[hi:]
+    return header, payload
+
+
 def _per_entry_payload(index):
     """The v3 payload written entry by entry with struct, as the README lays
     it out: each new video id goes to the id table, each clip's fields and
@@ -722,7 +772,8 @@ class TestSerialization:
         save_index(index, tmp_path / "asr.idx")
         data = (tmp_path / "asr.idx").read_bytes()
         header, payload = _split(data)
-        assert payload[8:10] == b"ba"
+        # Row order is clip-id order, so a__s0 comes first, then b__s0, b__s10.
+        assert payload[8:10] == b"ab"
         assert data == _signed(header, _per_entry_payload(index)[0])
         assert _refs(load_index(tmp_path / "asr.idx")) == _refs(index)
 
@@ -824,6 +875,8 @@ class TestSerialization:
             (_zero_weight, "nonzero"),
             (_set_video_id(b""), "video id 0 is empty"),
             (_set_video_id(b"\xff"), "video id 0 is not UTF-8"),
+            (_set_clip("video number", 1, 0), "clip row 1 is not after the row before it"),
+            (_swap_the_rows, "clip row 1 is not after the row before it"),
         ],
     )
     def test_inconsistent_signed_files_rejected(self, tmp_path, spec, corrupt, message):
@@ -866,9 +919,10 @@ class TestSerialization:
             (gc.enable if was else gc.disable)()
 
     @pytest.mark.parametrize("dim", [512, 70_000])
-    def test_loaded_postings_and_id_ranks_equal_the_built_ones(self, tmp_path, dim):
-        # 70,000 buckets do not fit the 16-bit sort keys; 512 do. Clip ids
-        # sort as "v__s10" < "v__s9", unlike the start times.
+    def test_loaded_postings_and_row_order_equal_the_built_ones(self, tmp_path, dim):
+        # 70,000 buckets do not fit the 16-bit sort keys; 512 do. Rows follow
+        # the clip ids, not the corpus or the start times: "v__s10" < "v__s9",
+        # and "_" sorts after every digit, so "v__s100__e110" < "v__s10__e20".
         corpus = _corpus(*(
             _clip("v", start, asr_text=" ".join(_WORDS[start % 7 : start % 7 + 5]))
             for start in (9, 10, 0, 90, 100, 3)
@@ -878,13 +932,12 @@ class TestSerialization:
         loaded = load_index(tmp_path / "asr.idx")
         order = np.argsort(index.buckets.astype(np.int64), kind="stable")
         rows = np.repeat(np.arange(len(index)), np.diff(index.indptr))
-        ids = [ref.clip_id for ref in _refs(index)]
-        rank = [sorted(ids).index(clip_id) for clip_id in ids]
+        ids = [f"v__s{start}__e{start + 10}" for start in (0, 100, 10, 3, 90, 9)]
         for built in (index, loaded):
             assert np.array_equal(built._post_rows, rows[order])
             assert np.array_equal(built._post_weights, index.weights[order])
             assert built._post_ptr[-1] == len(index.buckets)
-            assert built._id_rank.tolist() == rank
+            assert [ref.clip_id for ref in _refs(built)] == ids
 
     def test_build_save_and_load_make_refs_only_for_returned_rows(
         self, tmp_path, spec, monkeypatch
@@ -914,7 +967,7 @@ class TestSerialization:
         arrays = {name: a for name, a in vars(loaded).items() if isinstance(a, np.ndarray)}
         assert set(arrays) == {
             "video_numbers", "start_s", "end_s", "indptr", "buckets", "weights",
-            "_post_rows", "_post_weights", "_post_ptr", "_id_rank",
+            "_post_rows", "_post_weights", "_post_ptr",
         }
         assert [name for name, a in arrays.items() if a.base is not None] == []
 
