@@ -22,9 +22,10 @@ import numpy as np
 from .corpus import normalize_text
 
 DEFAULT_DIM = 4096
-#: The widest vector an embedder may produce. Bucket ids then fit the index
-#: file's u32 bucket column, and each dim-wide array that a build or a load
-#: makes (float64 or int64) stays at or below 8 MB.
+#: The widest vector an embedder may produce. Each dim-wide array that a
+#: build or a load makes (float64 or int64) then stays at or below 8 MB, and
+#: every index file carries one dim-wide u32 column, its bucket counts: 4 MB
+#: at this dim.
 MAX_DIM = 2**20
 REFERENCE_EMBEDDER = "hashed-trigram"
 

@@ -6,18 +6,18 @@ every sentence embedded, and the sentence vectors mean-pooled into a single
 re-normalized vector per clip. A build pools a block of clips at a time in
 one vectorized pass; only each row's norm runs per clip, over a full-width
 row, so every weight is bit-equal to pooling full-width rows one by one.
-Each clip row keeps only its nonzero entries (CSR form); the hashed
-reference embedder fills about 19 of 4,096 buckets. Search scores postings
-exactly: it sums each clip's products over the query's buckets in ascending
-bucket order (bit-equal to a sequential dot product) and returns only clips
-with a positive score, equal scores in row order, which is clip-id order.
-The on-disk format is versioned, self-describing and checksummed, so files
-round-trip bit-exactly and damaged or out-of-order files are rejected when
-loaded; its payload is whole columns, each read back with one
-``np.frombuffer`` and copied out of the file's bytes. An index keeps its
-clips as those columns (video ids, each row's video number, start and end)
-and makes a :class:`ClipRef` only for the rows a search returns, so a load
-builds no object per clip; the file bytes are the same either way.
+Each clip row keeps only its nonzero entries, stored bucket-major as
+postings (an inverted file); the hashed reference embedder fills about 19
+of 4,096 buckets per row. Search scores postings exactly: it sums each
+clip's products over the query's buckets in ascending bucket order
+(bit-equal to a sequential dot product) and returns only clips with a
+positive score, equal scores in row order, which is clip-id order. The
+versioned, checksummed file holds those postings as whole columns, each
+read back with one ``np.frombuffer`` and copied out of the file's bytes:
+a load derives nothing, files round-trip bit-exactly, and damaged or
+out-of-order files are rejected. An index keeps its clips as columns too
+(video ids, each row's video number, start and end) and makes a
+:class:`ClipRef` only for the rows a search returns.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .corpus import FUSED_SOURCE, INDEX_SOURCES, ClipRef, Corpus, Modality, clip
 from .embed import EmbedderSpec, EmbeddingError, SparseVector, embed_text, is_zero
 
 FORMAT_NAME = "cliproute-index"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _REBUILD = "rebuild with build-index"
 DEFAULT_DEPTH = 50
 
@@ -65,9 +65,9 @@ class ModalityIndex:
 
     Row ``i`` is the clip of video ``video_ids[video_numbers[i]]`` from
     ``start_s[i]`` to ``end_s[i]``, whose ClipRef :meth:`ref` makes on first
-    use; rows run in strictly ascending clip-id order. The row holds
-    ``weights[indptr[i]:indptr[i + 1]]`` at the strictly increasing
-    ``buckets[indptr[i]:indptr[i + 1]]``; every other entry is zero.
+    use; rows run in strictly ascending clip-id order. Bucket ``b`` holds
+    ``post_weights[post_ptr[b]:post_ptr[b + 1]]`` in the strictly increasing
+    rows ``post_rows[post_ptr[b]:post_ptr[b + 1]]``, each row in some bucket.
     """
 
     source: str
@@ -76,27 +76,15 @@ class ModalityIndex:
     video_numbers: np.ndarray  # (count,) uint32 places in video_ids
     start_s: np.ndarray  # (count,) uint32 clip starts
     end_s: np.ndarray  # (count,) uint32 clip ends
-    indptr: np.ndarray  # (count + 1,) int64 row offsets
-    buckets: np.ndarray  # (nnz,) uint32 bucket ids
-    weights: np.ndarray  # (nnz,) float64 row values
+    post_ptr: np.ndarray  # (dim + 1,) int64 bucket offsets
+    post_rows: np.ndarray  # (nnz,) intp rows, ascending within a bucket
+    post_weights: np.ndarray  # (nnz,) float64 values
     build_stats: BuildStats
     #: The modality this index serves; None for the fused-caption index.
     modality: Optional[Modality] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.modality = Modality.from_wire(self.source)
-        # Bucket-major postings: bucket b's rows (ascending) and weights sit
-        # at [_post_ptr[b], _post_ptr[b + 1]) of _post_rows / _post_weights.
-        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
-        # Keys of the narrowest type that holds every bucket id: numpy sorts
-        # keys of up to 16 bits stably by radix, several times faster than
-        # uint32 keys, and any stable sort gives the same order.
-        keys = self.buckets.astype(np.min_scalar_type(self.embedder.dim - 1))
-        order = np.argsort(keys, kind="stable")
-        self._post_rows = rows[order]
-        self._post_weights = self.weights[order]
-        self._post_ptr = np.zeros(self.embedder.dim + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.buckets, minlength=self.embedder.dim), out=self._post_ptr[1:])
         # Row i's ClipRef once made, else None; search reads it directly.
         self._refs: list[Optional[ClipRef]] = [None] * len(self)
 
@@ -221,9 +209,13 @@ def _build_for_source(corpus: Corpus, source: str, spec: EmbedderSpec) -> Modali
             pool_block()
     if rows:
         pool_block()
-    indptr = np.zeros(len(starts) + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
-    stats = BuildStats(indexed=len(starts), skipped=skipped, empty=not starts)
+    # The postings: entries stably sorted by bucket, so rows stay ascending
+    # in each. 16-bit keys, where they fit, sort by radix several times faster.
+    buckets = np.concatenate(row_buckets)
+    order = np.argsort(buckets.astype(np.min_scalar_type(spec.dim - 1)), kind="stable")
+    post_ptr = np.zeros(spec.dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(buckets, minlength=spec.dim), out=post_ptr[1:])
+    entry_rows = np.repeat(np.arange(len(starts)), np.concatenate(row_nnz))
     return ModalityIndex(
         source=source,
         embedder=spec,
@@ -231,10 +223,10 @@ def _build_for_source(corpus: Corpus, source: str, spec: EmbedderSpec) -> Modali
         video_numbers=np.array(video_numbers, dtype=np.uint32),
         start_s=np.array(starts, dtype=np.uint32),
         end_s=np.array(ends, dtype=np.uint32),
-        indptr=indptr,
-        buckets=np.concatenate(row_buckets).astype(np.uint32),
-        weights=np.concatenate(row_weights),
-        build_stats=stats,
+        post_ptr=post_ptr,
+        post_rows=entry_rows[order],
+        post_weights=np.concatenate(row_weights)[order],
+        build_stats=BuildStats(indexed=len(starts), skipped=skipped, empty=not starts),
     )
 
 
@@ -259,15 +251,15 @@ def search(index: ModalityIndex, vec: SparseVector, n: int) -> RankedList:
         raise IndexingError(f"search depth must be >= 1, got {n}")
     if vec.dim != index.embedder.dim:
         raise EmbeddingError(f"query dim {vec.dim} does not match index dim {index.embedder.dim}")
-    starts = index._post_ptr[vec.buckets]
-    lengths = index._post_ptr[vec.buckets + 1] - starts
+    starts = index.post_ptr[vec.buckets]
+    lengths = index.post_ptr[vec.buckets + 1] - starts
     # Positions of the query buckets' postings, concatenated in bucket order.
     offsets = np.cumsum(lengths) - lengths
     positions = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
-    products = index._post_weights[positions] * np.repeat(vec.weights, lengths)
+    products = index.post_weights[positions] * np.repeat(vec.weights, lengths)
     # bincount adds its weights in input order, so each clip's score is summed
     # in ascending bucket order: bit-equal to a sequential dot product.
-    scores = np.bincount(index._post_rows[positions], weights=products, minlength=len(index))
+    scores = np.bincount(index.post_rows[positions], weights=products, minlength=len(index))
     hits = np.flatnonzero(scores > 0)
     top = hits[np.argsort(-scores[hits], kind="stable")[:n]]  # ties stay in row order
     made = index._refs
@@ -289,15 +281,15 @@ def _digest(header: dict, payload: bytes) -> str:
 
 
 def save_index(index: ModalityIndex, path: str | Path) -> None:
-    """Write the versioned binary index file (format v3).
+    """Write the versioned binary index file (format v4).
 
     Layout: one canonical JSON header line, then whole little-endian
     columns: the u32 byte lengths of the distinct video ids (in order of
     first use) and their UTF-8 bytes; per clip, in clip-id order, its u32
-    video number, start_s, end_s and nnz; then all u32 bucket ids and all
-    float64 weights, row after row. The header's ``sha256`` covers the rest
-    of the header and the payload. Writing the same index twice produces
-    identical bytes.
+    video number, start_s and end_s; per bucket, its u32 posting count;
+    then the postings bucket after bucket: all u32 rows and all float64
+    weights. The header's ``sha256`` covers the rest of the header and the
+    payload. Writing the same index twice produces identical bytes.
     """
     video_ids = [video.encode("utf-8") for video in index.video_ids]
     payload = b"".join(
@@ -307,9 +299,9 @@ def save_index(index: ModalityIndex, path: str | Path) -> None:
             index.video_numbers.astype("<u4"),
             index.start_s.astype("<u4"),
             index.end_s.astype("<u4"),
-            np.diff(index.indptr).astype("<u4"),
-            index.buckets.astype("<u4"),
-            index.weights.astype("<f8"),
+            np.diff(index.post_ptr).astype("<u4"),
+            index.post_rows.astype("<u4"),
+            index.post_weights.astype("<f8"),
         ]
     )
     header = {
@@ -320,7 +312,7 @@ def save_index(index: ModalityIndex, path: str | Path) -> None:
         "dim": index.embedder.dim,
         "count": len(index),
         "videos": len(video_ids),
-        "nnz": len(index.buckets),
+        "nnz": len(index.post_rows),
         "build_stats": asdict(index.build_stats),
     }
     header["sha256"] = _digest(header, payload)
@@ -393,13 +385,15 @@ def _decode(data: bytes) -> ModalityIndex:
     numbers = column("video number", "<u4", count).astype(np.uint32)
     starts = column("start", "<u4", count).astype(np.uint32)
     ends = column("end", "<u4", count).astype(np.uint32)
-    row_nnz = column("nnz", "<u4", count)
-    buckets = column("bucket", "<u4", nnz).astype(np.uint32)
+    counts = column("bucket count", "<u4", dim)
+    rows = column("row", "<u4", nnz).astype(np.intp)
     weights = column("weight", "<f8", nnz).astype(np.float64)
     if offset != len(payload):
         raise IndexingError(f"{len(payload) - offset} bytes trail the last column")
-    if int(row_nnz.sum()) != nnz:
-        raise IndexingError(f"rows hold {int(row_nnz.sum())} nonzeros, header says {nnz}")
+    post_ptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(counts, out=post_ptr[1:])
+    if post_ptr[-1] != nnz:
+        raise IndexingError(f"buckets hold {int(post_ptr[-1])} postings, header says {nnz}")
     video_ids: list[str] = []
     at = 0
     for k, length in enumerate(id_lengths.tolist()):
@@ -410,20 +404,26 @@ def _decode(data: bytes) -> ModalityIndex:
         except UnicodeDecodeError:
             raise IndexingError(f"video id {k} is not UTF-8") from None
         at += length
+    if len(set(video_ids)) < videos:
+        raise IndexingError("the video id table repeats an id")
     _check_rows(numbers >= videos, "has a video number past the video ids")
     _check_rows(ends <= starts, "does not end after it starts")
-    _check_rows(row_nnz == 0, "has no nonzero entries")
-    indptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(row_nnz, out=indptr[1:])
-    steps = np.diff(buckets.astype(np.int64))
-    steps[indptr[1:-1] - 1] = 1  # a row may start below the previous row's end
-    if np.any(steps <= 0) or np.any(buckets >= dim):
-        raise IndexingError(f"bucket ids must increase within a row and stay below {dim}")
+    steps = np.diff(rows)
+    steps[post_ptr[:-1][counts > 0][1:] - 1] = 1  # a bucket may start below the last one's end
+    if np.any(steps <= 0) or np.any(rows >= count):
+        raise IndexingError(f"rows must increase within a bucket and stay below {count}")
+    _check_rows(np.bincount(rows, minlength=count) == 0, "has no nonzero entries")
     if not np.all(np.isfinite(weights)) or np.any(weights == 0):
         raise IndexingError("weights must be finite and nonzero")
     ids = clip_ids(video_ids, numbers.tolist(), starts.tolist(), ends.tolist())
     out_of_order = np.fromiter(map(str.__ge__, ["", *ids], ids), bool, count)  # "" < every id
     _check_rows(out_of_order, f"is not after the row before it in clip-id order; {_REBUILD}")
+    # Rows number the ids in order of first use: each row's number is at
+    # most one past the largest before it, and the last largest is the last id.
+    largest = np.maximum.accumulate(np.append(-1, numbers))  # -1 before the first row
+    _check_rows(np.diff(largest) > 1, "names a video id out of first-use order")
+    if largest[-1] + 1 < videos:
+        raise IndexingError(f"video id {largest[-1] + 1} is not used by any row")
     return ModalityIndex(
         source=source,
         embedder=spec,
@@ -431,9 +431,9 @@ def _decode(data: bytes) -> ModalityIndex:
         video_numbers=numbers,
         start_s=starts,
         end_s=ends,
-        indptr=indptr,
-        buckets=buckets,
-        weights=weights,
+        post_ptr=post_ptr,
+        post_rows=rows,
+        post_weights=weights,
         build_stats=stats,
     )
 

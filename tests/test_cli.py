@@ -1,7 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
-import hashlib
 import json
 import os
 import random
@@ -13,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import edit_video_table, resign
 
 from cliproute import embed
 from cliproute.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _build_parser, main
@@ -63,18 +63,6 @@ def _build(paths):
             str(paths["index_dir"]),
         ]
     )
-
-
-def _resign(path, edit):
-    """Rewrite an index file as ``edit(header, payload)`` leaves it (header
-    without its digest), signed with a valid digest."""
-    line, _, payload = path.read_bytes().partition(b"\n")
-    header = json.loads(line)
-    del header["sha256"]
-    payload = edit(header, payload)
-    unsigned = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    header["sha256"] = hashlib.sha256(unsigned + payload).hexdigest()
-    path.write_bytes(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
 
 class TestGenCorpus:
@@ -385,9 +373,9 @@ class TestQuery:
             payload = bytearray(payload)
             for column in range(at, at + 12 * count, 4 * count):
                 payload[column + 4 : column + 8] = payload[column : column + 4]
-            return bytes(payload)
+            return header, bytes(payload)
 
-        _resign(path, repeat_row_0)
+        path.write_bytes(resign(path.read_bytes(), repeat_row_0))
         capsys.readouterr()
         code = main(["query", "--index-dir", str(workspace["index_dir"]), "who says anything"])
         assert code == EXIT_RUNTIME
@@ -397,6 +385,35 @@ class TestQuery:
             f"error: {path}: clip row 1 is not after the row before it in clip-id order; "
             "rebuild with build-index\n"
         )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda ids, numbers: (ids + [b"zz"], numbers), r"video id \d+ is not used by any row"),
+            (
+                lambda ids, numbers: ([ids[1], ids[0], *ids[2:]], [n ^ (n < 2) for n in numbers]),
+                "clip row 0 names a video id out of first-use order",
+            ),
+            (
+                lambda ids, numbers: ([ids[0], *ids], [n + (n > 0) for n in numbers]),
+                "the video id table repeats an id",
+            ),
+        ],
+        ids=["unused", "out-of-order", "repeated"],
+    )
+    def test_a_video_id_table_save_index_did_not_write_is_runtime_error(
+        self, workspace, capsys, edit, message
+    ):
+        _gen(workspace)
+        _build(workspace)
+        path = workspace["index_dir"] / "asr.idx"
+        path.write_bytes(resign(path.read_bytes(), edit_video_table(edit)))
+        capsys.readouterr()
+        code = main(["query", "--index-dir", str(workspace["index_dir"]), "who says anything"])
+        assert code == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: {re.escape(str(path))}: {message}\n", captured.err)
 
     def test_empty_query_usage_error(self, workspace):
         assert main(["query", "--index-dir", str(workspace["index_dir"]), ""]) == EXIT_USAGE
@@ -578,16 +595,19 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "asr.idx" in err
 
-    def test_v2_index_asks_for_a_rebuild(self, workspace, capsys):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_old_index_asks_for_a_rebuild(self, workspace, capsys, version):
         _gen(workspace)
         _build(workspace)
         path = workspace["index_dir"] / "asr.idx"
         header, _, payload = path.read_bytes().partition(b"\n")
-        path.write_bytes(header.replace(b'"version": 3', b'"version": 2') + b"\n" + payload)
+        old = header.replace(b'"version": 4', f'"version": {version}'.encode())
+        assert old != header
+        path.write_bytes(old + b"\n" + payload)
         capsys.readouterr()
         assert self._evaluate(workspace, "single:asr") == EXIT_RUNTIME
         err = capsys.readouterr().err
-        assert err == f"error: {path}: unsupported version 2; rebuild with build-index\n"
+        assert err == f"error: {path}: unsupported version {version}; rebuild with build-index\n"
 
     def test_signed_header_dim_above_the_ceiling_is_runtime_error(self, workspace, capsys):
         _gen(workspace)
@@ -596,9 +616,9 @@ class TestEvaluate:
 
         def widen(header, payload):
             header["dim"] = header["embedder"]["dim"] = MAX_DIM + 1
-            return payload
+            return header, payload
 
-        _resign(path, widen)
+        path.write_bytes(resign(path.read_bytes(), widen))
         capsys.readouterr()
         assert self._evaluate(workspace, "single:asr") == EXIT_RUNTIME
         err = capsys.readouterr().err

@@ -1,13 +1,12 @@
 """Tests for index construction, search, and serialization."""
 
 import gc
-import hashlib
-import json
 import random
 import struct
 
 import numpy as np
 import pytest
+from conftest import edit_video_table, resign, split_index
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,11 +64,22 @@ def _dense(vec):
     return dense
 
 
+def _row_major(index):
+    """The clip rows the index's postings hold, as (indptr, buckets, weights):
+    row i holds ``weights[indptr[i]:indptr[i + 1]]`` at the ascending
+    ``buckets[indptr[i]:indptr[i + 1]]``."""
+    buckets = np.repeat(np.arange(index.embedder.dim), np.diff(index.post_ptr))
+    order = np.argsort(index.post_rows, kind="stable")  # keeps each row's buckets ascending
+    indptr = np.zeros(len(index) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index.post_rows, minlength=len(index)), out=indptr[1:])
+    return indptr, buckets[order], index.post_weights[order]
+
+
 def _dense_rows(index):
     """The index's stored rows as a dense (len, dim) matrix."""
     dense = np.zeros((len(index), index.embedder.dim))
-    rows = np.repeat(np.arange(len(index)), np.diff(index.indptr))
-    dense[rows, index.buckets] = index.weights
+    indptr, buckets, weights = _row_major(index)
+    dense[np.repeat(np.arange(len(index)), np.diff(indptr)), buckets] = weights
     return dense
 
 
@@ -149,18 +159,24 @@ def _signed_embed(spec, text):
 register_embedder("test-signed", _signed_embed)
 
 
+def _dense_pool(spec, text):
+    """The dense pooling oracle: the mean of the text's non-empty full-width
+    sentence vectors, divided by the norm of that full-width mean."""
+    vectors = [_dense(embed_text(spec, s)) for s in split_sentences(text)]
+    pooled = np.mean([v for v in vectors if v.any()], axis=0)
+    return pooled / float(np.linalg.norm(pooled))
+
+
 def _assert_rows_equal_dense_pooling(index, corpus):
-    """Each stored row against the dense pooling oracle: the mean of the
-    clip's full-width sentence vectors, divided by the norm of the
-    full-width pooled row, then its nonzeros, bit for bit."""
+    """Each stored row against the nonzeros of the dense pooling oracle,
+    bit for bit."""
     texts = {clip.ref: clip.text_for(index.source) for clip in corpus}
+    indptr, buckets, weights = _row_major(index)
     for i, ref in enumerate(_refs(index)):
-        vectors = [_dense(embed_text(index.embedder, s)) for s in split_sentences(texts[ref])]
-        pooled = np.mean([v for v in vectors if v.any()], axis=0)
-        pooled = pooled / float(np.linalg.norm(pooled))
-        lo, hi = index.indptr[i], index.indptr[i + 1]
-        assert np.array_equal(index.buckets[lo:hi], np.flatnonzero(pooled))
-        assert index.weights[lo:hi].tobytes() == pooled[pooled != 0].tobytes()
+        pooled = _dense_pool(index.embedder, texts[ref])
+        lo, hi = indptr[i], indptr[i + 1]
+        assert np.array_equal(buckets[lo:hi], np.flatnonzero(pooled))
+        assert weights[lo:hi].tobytes() == pooled[pooled != 0].tobytes()
 
 
 def _pools_to_a_row(spec, text):
@@ -233,13 +249,14 @@ class TestBuildIndex:
             _clip("b", 0, asr_text="other content"),
         )
         index = build_index(corpus, Modality.ASR, spec)
+        indptr, buckets, weights = _row_major(index)
         for i, clip in enumerate(corpus):
             vectors = [_dense(embed_text(spec, s)) for s in split_sentences(clip.asr_text)]
             pooled = np.mean(vectors, axis=0)
             pooled = pooled / float(np.linalg.norm(pooled))
-            lo, hi = index.indptr[i], index.indptr[i + 1]
-            assert np.array_equal(index.buckets[lo:hi], np.flatnonzero(pooled))
-            assert np.array_equal(index.weights[lo:hi], pooled[pooled != 0])
+            lo, hi = indptr[i], indptr[i + 1]
+            assert np.array_equal(buckets[lo:hi], np.flatnonzero(pooled))
+            assert np.array_equal(weights[lo:hi], pooled[pooled != 0])
 
     @pytest.mark.parametrize("source", INDEX_SOURCES)
     def test_rows_equal_dense_pooling_on_the_session_corpus(self, acceptance_corpus, source):
@@ -301,14 +318,15 @@ class TestBuildIndex:
             _clip("b", 0, asr_text="down. up. up"),
         )
         index = build_index(corpus, Modality.ASR, EmbedderSpec("test-signed", 16))
-        assert index.buckets[: index.indptr[1]].tolist() == [3, 5]
-        assert index.buckets[index.indptr[1] :].tolist() == [1, 3, 5]
+        indptr, buckets, _ = _row_major(index)
+        assert buckets[: indptr[1]].tolist() == [3, 5]
+        assert buckets[indptr[1] :].tolist() == [1, 3, 5]
         _assert_rows_equal_dense_pooling(index, corpus)
         save_index(index, tmp_path / "asr.idx")
         loaded = load_index(tmp_path / "asr.idx")
-        assert np.array_equal(loaded.indptr, index.indptr)
-        assert np.array_equal(loaded.buckets, index.buckets)
-        assert loaded.weights.tobytes() == index.weights.tobytes()
+        assert np.array_equal(loaded.post_ptr, index.post_ptr)
+        assert np.array_equal(loaded.post_rows, index.post_rows)
+        assert loaded.post_weights.tobytes() == index.post_weights.tobytes()
 
     @pytest.mark.parametrize("start", [0, 2**32])
     def test_a_row_that_pools_to_zero_is_skipped(self, tmp_path, start):
@@ -400,7 +418,7 @@ class TestSearch:
         )
         index = build_index(corpus, Modality.ASR, spec)
         query = embed_text(spec, "zzz")
-        stored = set(index.buckets.tolist())
+        stored = set(np.flatnonzero(np.diff(index.post_ptr)).tolist())
         assert not stored & set(np.flatnonzero(_dense(query)).tolist())
         assert search(index, query, 10).items == []
 
@@ -594,8 +612,9 @@ class TestSearchParity:
         spec = EmbedderSpec("test-dense", 32)
         corpus = _corpus(_clip("a", 0, asr_text="alpha"), _clip("b", 0, asr_text="beta"))
         index = build_index(corpus, Modality.ASR, spec)
-        assert list(np.diff(index.indptr)) == [32, 32]
-        assert (index.weights < 0).any()
+        assert np.bincount(index.post_rows).tolist() == [32, 32]
+        assert np.diff(index.post_ptr).tolist() == [2] * 32
+        assert (index.post_weights < 0).any()
 
 
 def _saved(tmp_path, spec):
@@ -608,30 +627,16 @@ def _saved(tmp_path, spec):
     return path
 
 
-def _split(data):
-    """(header dict, payload bytes) of an index file."""
-    line, _, payload = data.partition(b"\n")
-    return json.loads(line), payload
-
-
-def _signed(header, payload):
-    """Index file bytes for ``header`` and ``payload`` with a valid digest."""
-    header = {k: v for k, v in header.items() if k != "sha256"}
-    line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    header["sha256"] = hashlib.sha256(line + payload).hexdigest()
-    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
-
-
 def _offsets(header, payload):
     """Byte offset of each payload column, as the README lays them out."""
     videos, count = header["videos"], header["count"]
     id_lengths = struct.unpack_from(f"<{videos}I", payload, 0)
     at = {"video id length": 0, "video id": 4 * videos}
     at["video number"] = at["video id"] + sum(id_lengths)
-    for column, after in (("start", "video number"), ("end", "start"), ("nnz", "end")):
+    for column, after in (("start", "video number"), ("end", "start"), ("bucket count", "end")):
         at[column] = at[after] + 4 * count
-    at["bucket"] = at["nnz"] + 4 * count
-    at["weight"] = at["bucket"] + 4 * header["nnz"]
+    at["row"] = at["bucket count"] + 4 * header["dim"]
+    at["weight"] = at["row"] + 4 * header["nnz"]
     return at
 
 
@@ -648,15 +653,22 @@ def _with_header(**changes):
     return corrupt
 
 
-def _with_nnz(nnz):
-    """Header nnz and the bucket and weight columns cut to ``nnz`` entries,
-    so every column fits while the per-clip nnz column still sums higher."""
+def _with_postings(edit):
+    """Corruption that replaces the bucket count, row and weight columns with
+    ``edit(counts, rows, weights)`` of the file's, and the header nnz with
+    the number of rows it returns."""
 
     def corrupt(header, payload):
         at = _offsets(header, payload)
-        buckets = payload[at["bucket"] : at["bucket"] + 4 * nnz]
-        weights = payload[at["weight"] : at["weight"] + 8 * nnz]
-        return {**header, "nnz": nnz}, payload[: at["bucket"]] + buckets + weights
+        columns = edit(
+            np.frombuffer(payload, "<u4", header["dim"], at["bucket count"]),
+            np.frombuffer(payload, "<u4", header["nnz"], at["row"]),
+            np.frombuffer(payload, "<f8", header["nnz"], at["weight"]),
+        )
+        payload = payload[: at["bucket count"]] + b"".join(
+            column.astype(dtype).tobytes() for column, dtype in zip(columns, ("<u4", "<u4", "<f8"))
+        )
+        return {**header, "nnz": len(columns[1])}, payload
 
     return corrupt
 
@@ -671,16 +683,29 @@ def _set_clip(column, row, value):
 
 
 def _move_nonzeros_to_the_second_row(header, payload):
-    at = _offsets(header, payload)["nnz"]
-    first, second = struct.unpack_from("<II", payload, at)
-    return header, _put(payload, at, "<II", 0, first + second)
+    """Row 0's postings moved to row 1, and dropped where row 1 holds the
+    bucket too."""
+
+    def edit(counts, rows, weights):
+        buckets = np.repeat(np.arange(len(counts)), counts)
+        kept = ~(np.repeat(counts == 2, counts) & (rows == 0))
+        return np.bincount(buckets[kept], minlength=len(counts)), np.ones_like(rows[kept]), weights[kept]
+
+    return _with_postings(edit)(header, payload)
 
 
-def _set_bucket(position, value):
+def _repeat_a_row_within_a_bucket(counts, rows, weights):
+    """The postings with the second row of the first two-row bucket set to its first."""
+    start = int(counts[: np.flatnonzero(counts == 2)[0]].sum())
+    rows = rows.copy()
+    rows[start + 1] = rows[start]
+    return counts, rows, weights
+
+
+def _set_row(position, value):
     def corrupt(header, payload):
-        at = _offsets(header, payload)
-        first_row_nnz = struct.unpack_from("<I", payload, at["nnz"])[0]
-        return header, _put(payload, at["bucket"] + 4 * (position % first_row_nnz), "<I", value)
+        at = _offsets(header, payload)["row"] + 4 * (position % header["nnz"])
+        return header, _put(payload, at, "<I", value)
 
     return corrupt
 
@@ -693,58 +718,44 @@ def _zero_weight(header, payload):
     return header, _put(payload, _offsets(header, payload)["weight"], "<d", 0.0)
 
 
-def _set_video_id(video_id):
-    """Corruption that replaces the first video id (and its length)."""
-
-    def corrupt(header, payload):
-        at = _offsets(header, payload)
-        old_length = struct.unpack_from("<I", payload, 0)[0]
-        ids = payload[at["video id"] : at["video number"]]
-        return header, (
-            struct.pack("<I", len(video_id))
-            + payload[4 : at["video id"]]
-            + video_id
-            + ids[old_length:]
-            + payload[at["video number"] :]
-        )
-
-    return corrupt
-
-
 def _swap_the_rows(header, payload):
-    """The file's two rows in the other order, each with its nonzeros."""
+    """The file's two rows in the other order, each with its postings."""
     at = _offsets(header, payload)
-    first_nnz = struct.unpack_from("<I", payload, at["nnz"])[0]
-    for column in ("video number", "start", "end", "nnz"):
+    for column in ("video number", "start", "end"):
         first, second = struct.unpack_from("<II", payload, at[column])
         payload = _put(payload, at[column], "<II", second, first)
-    for column, size in (("bucket", 4), ("weight", 8)):
-        lo, hi = at[column], at[column] + size * header["nnz"]
-        cut = lo + size * first_nnz
-        payload = payload[:lo] + payload[cut:hi] + payload[lo:cut] + payload[hi:]
-    return header, payload
+
+    def edit(counts, rows, weights):
+        order = np.lexsort((1 - rows, np.repeat(np.arange(len(counts)), counts)))
+        return counts, (1 - rows)[order], weights[order]
+
+    return _with_postings(edit)(header, payload)
 
 
 def _per_entry_payload(index):
-    """The v3 payload written entry by entry with struct, as the README lays
-    it out: each new video id goes to the id table, each clip's fields and
-    each nonzero to the end of their column."""
+    """The v4 payload written entry by entry with struct, as the README lays
+    it out: each new video id goes to the id table and each clip's fields to
+    the end of their columns; then each bucket's posting count, and each
+    bucket's rows and weights, in row order, after the buckets before it."""
     numbers = {}
-    columns = {name: [] for name in ("lengths", "ids", "video", "start", "end", "nnz", "b", "w")}
-    for i, ref in enumerate(_refs(index)):
+    columns = {name: [] for name in ("lengths", "ids", "video", "start", "end")}
+    for ref in _refs(index):
         if ref.video_id not in numbers:
             numbers[ref.video_id] = len(numbers)
             encoded = ref.video_id.encode("utf-8")
             columns["lengths"].append(struct.pack("<I", len(encoded)))
             columns["ids"].append(encoded)
-        lo, hi = int(index.indptr[i]), int(index.indptr[i + 1])
         columns["video"].append(struct.pack("<I", numbers[ref.video_id]))
         columns["start"].append(struct.pack("<I", ref.start_s))
         columns["end"].append(struct.pack("<I", ref.end_s))
-        columns["nnz"].append(struct.pack("<I", hi - lo))
-        for j in range(lo, hi):
-            columns["b"].append(struct.pack("<I", int(index.buckets[j])))
-            columns["w"].append(struct.pack("<d", float(index.weights[j])))
+    postings = [[] for _ in range(index.embedder.dim)]
+    indptr, buckets, weights = _row_major(index)
+    for row in range(len(index)):
+        for j in range(indptr[row], indptr[row + 1]):
+            postings[buckets[j]].append((row, float(weights[j])))
+    columns["counts"] = [struct.pack("<I", len(bucket)) for bucket in postings]
+    columns["rows"] = [struct.pack("<I", row) for bucket in postings for row, _ in bucket]
+    columns["weights"] = [struct.pack("<d", w) for bucket in postings for _, w in bucket]
     return b"".join(b"".join(parts) for parts in columns.values()), len(numbers)
 
 
@@ -756,11 +767,12 @@ class TestSerialization:
         index = acceptance_corpus[2][source]
         save_index(index, tmp_path / "index.idx")
         data = (tmp_path / "index.idx").read_bytes()
-        header, _ = _split(data)
+        header, _ = split_index(data)
         payload, videos = _per_entry_payload(index)
-        assert (header["version"], header["count"], header["nnz"]) == (3, len(index), index.indptr[-1])
+        nnz = len(index.post_rows)
+        assert (header["version"], header["count"], header["nnz"]) == (4, len(index), nnz)
         assert header["videos"] == videos < len(index)
-        assert data == _signed(header, payload)
+        assert data == resign(data, lambda header, _: (header, payload))
 
     def test_video_ids_are_numbered_in_order_of_first_use(self, tmp_path, spec):
         corpus = _corpus(
@@ -771,10 +783,10 @@ class TestSerialization:
         index = build_index(corpus, Modality.ASR, spec)
         save_index(index, tmp_path / "asr.idx")
         data = (tmp_path / "asr.idx").read_bytes()
-        header, payload = _split(data)
+        _, payload = split_index(data)
         # Row order is clip-id order, so a__s0 comes first, then b__s0, b__s10.
         assert payload[8:10] == b"ab"
-        assert data == _signed(header, _per_entry_payload(index)[0])
+        assert data == resign(data, lambda header, _: (header, _per_entry_payload(index)[0]))
         assert _refs(load_index(tmp_path / "asr.idx")) == _refs(index)
 
     def test_round_trip_is_exact(self, tmp_path, spec):
@@ -789,9 +801,9 @@ class TestSerialization:
         assert loaded.source == index.source
         assert loaded.embedder == index.embedder
         assert _refs(loaded) == _refs(index)
-        assert np.array_equal(loaded.indptr, index.indptr)
-        assert np.array_equal(loaded.buckets, index.buckets)
-        assert np.array_equal(loaded.weights, index.weights)
+        assert np.array_equal(loaded.post_ptr, index.post_ptr)
+        assert np.array_equal(loaded.post_rows, index.post_rows)
+        assert np.array_equal(loaded.post_weights, index.post_weights)
         assert loaded.build_stats == index.build_stats
 
     def test_rebuild_produces_byte_identical_files(self, tmp_path, spec):
@@ -804,12 +816,13 @@ class TestSerialization:
         save_index(build_index(corpus, Modality.ASR, spec), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_save_load_save_is_stable(self, tmp_path, spec):
-        corpus = _corpus(_clip("a", 0, asr_text="alpha"))
+    def test_save_load_save_is_stable(self, acceptance_corpus, tmp_path, spec):
+        one_clip = build_index(_corpus(_clip("a", 0, asr_text="alpha")), Modality.ASR, spec)
         p1, p2 = tmp_path / "one.idx", tmp_path / "two.idx"
-        save_index(build_index(corpus, Modality.ASR, spec), p1)
-        save_index(load_index(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        for index in (one_clip, *acceptance_corpus[2].values()):
+            save_index(index, p1)
+            save_index(load_index(p1), p2)
+            assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bogus.idx"
@@ -831,23 +844,21 @@ class TestSerialization:
 
     def test_layout_matches_the_documented_format(self, tmp_path, spec):
         path = _saved(tmp_path, spec)
-        header, payload = _split(path.read_bytes())
-        assert (header["version"], header["count"], header["videos"]) == (3, 2, 2)
-        assert path.read_bytes() == _signed(header, payload)
+        data = path.read_bytes()
+        header, payload = split_index(data)
+        assert (header["version"], header["count"], header["videos"]) == (4, 2, 2)
+        assert data == resign(data, lambda header, payload: (header, payload))
         index = load_index(path)
         at = _offsets(header, payload)
         assert struct.unpack_from("<2I", payload, 0) == (1, 1)
         assert payload[at["video id"] : at["video number"]] == b"ab"
-        for column, values in (
-            ("video number", (0, 1)),
-            ("start", (0, 0)),
-            ("end", (10, 10)),
-            ("nnz", tuple(np.diff(index.indptr))),
-        ):
+        for column, values in (("video number", (0, 1)), ("start", (0, 0)), ("end", (10, 10))):
             assert struct.unpack_from("<2I", payload, at[column]) == values
-        nnz = header["nnz"]
-        assert struct.unpack_from(f"<{nnz}I", payload, at["bucket"]) == tuple(index.buckets)
-        assert struct.unpack_from(f"<{nnz}d", payload, at["weight"]) == tuple(index.weights)
+        dim, nnz = header["dim"], header["nnz"]
+        counts = struct.unpack_from(f"<{dim}I", payload, at["bucket count"])
+        assert counts == tuple(np.diff(index.post_ptr))
+        assert struct.unpack_from(f"<{nnz}I", payload, at["row"]) == tuple(index.post_rows)
+        assert struct.unpack_from(f"<{nnz}d", payload, at["weight"]) == tuple(index.post_weights)
         assert at["weight"] + 8 * nnz == len(payload)
 
     @pytest.mark.parametrize(
@@ -859,7 +870,7 @@ class TestSerialization:
             (_with_header(videos=5), "runs past the end"),
             (_with_header(videos=1), "bytes trail the last column"),
             (_with_header(nnz=1), "bytes trail the last column"),
-            (_with_nnz(1), "header says 1"),
+            (_with_postings(lambda c, r, w: (c, r[:1], w[:1])), "header says 1"),
             (_with_header(source="audio"), "unknown source"),
             (_with_header(count=-1), "negative count"),
             (lambda h, p: (h, p + b"\0"), "bytes trail the last column"),
@@ -868,20 +879,30 @@ class TestSerialization:
             (_set_clip("end", 0, 0), "row 0 does not end after it starts"),
             (_set_clip("start", 1, 11), "row 1 does not end after it starts"),
             (_move_nonzeros_to_the_second_row, "row 0 has no nonzero entries"),
-            (_set_bucket(0, 600), "increase within a row and stay below 512"),
-            (_set_bucket(-1, 512), "increase within a row and stay below 512"),
-            (_set_bucket(1, 0), "increase within a row"),
+            (_set_row(0, 2), "increase within a bucket and stay below 2"),
+            (_set_row(-1, 2), "increase within a bucket and stay below 2"),
+            (_with_postings(_repeat_a_row_within_a_bucket), "increase within a bucket"),
             (_nan_weight, "finite"),
             (_zero_weight, "nonzero"),
-            (_set_video_id(b""), "video id 0 is empty"),
-            (_set_video_id(b"\xff"), "video id 0 is not UTF-8"),
+            (edit_video_table(lambda ids, n: ([b"", *ids[1:]], n)), "video id 0 is empty"),
+            (edit_video_table(lambda ids, n: ([b"\xff", *ids[1:]], n)), "video id 0 is not UTF-8"),
             (_set_clip("video number", 1, 0), "clip row 1 is not after the row before it"),
             (_swap_the_rows, "clip row 1 is not after the row before it"),
+            # The table a, b, z; b, a with numbers 1, 0; a, a, b with numbers 0, 2.
+            (edit_video_table(lambda ids, n: ([*ids, b"z"], n)), "video id 2 is not used by any"),
+            (
+                edit_video_table(lambda ids, n: (ids[::-1], [1 - x for x in n])),
+                "clip row 0 names a video id out of first-use order",
+            ),
+            (
+                edit_video_table(lambda ids, n: ([ids[0], *ids], [x + (x > 0) for x in n])),
+                "the video id table repeats an id",
+            ),
         ],
     )
     def test_inconsistent_signed_files_rejected(self, tmp_path, spec, corrupt, message):
         path = _saved(tmp_path, spec)
-        path.write_bytes(_signed(*corrupt(*_split(path.read_bytes()))))
+        path.write_bytes(resign(path.read_bytes(), corrupt))
         with pytest.raises(IndexingError, match=message):
             load_index(path)
 
@@ -920,24 +941,32 @@ class TestSerialization:
 
     @pytest.mark.parametrize("dim", [512, 70_000])
     def test_loaded_postings_and_row_order_equal_the_built_ones(self, tmp_path, dim):
-        # 70,000 buckets do not fit the 16-bit sort keys; 512 do. Rows follow
-        # the clip ids, not the corpus or the start times: "v__s10" < "v__s9",
-        # and "_" sorts after every digit, so "v__s100__e110" < "v__s10__e20".
+        # Both are the dense-pooled rows' nonzeros stably sorted by bucket:
+        # 70,000 buckets do not fit the build's 16-bit sort keys; 512 do.
+        # Rows follow the clip ids, not the corpus or the start times:
+        # "v__s10" < "v__s9", and "_" sorts after every digit, so
+        # "v__s100__e110" < "v__s10__e20".
         corpus = _corpus(*(
             _clip("v", start, asr_text=" ".join(_WORDS[start % 7 : start % 7 + 5]))
             for start in (9, 10, 0, 90, 100, 3)
         ))
-        index = build_index(corpus, Modality.ASR, default_spec(dim=dim))
+        spec = default_spec(dim=dim)
+        index = build_index(corpus, Modality.ASR, spec)
         save_index(index, tmp_path / "asr.idx")
         loaded = load_index(tmp_path / "asr.idx")
-        order = np.argsort(index.buckets.astype(np.int64), kind="stable")
-        rows = np.repeat(np.arange(len(index)), np.diff(index.indptr))
-        ids = [f"v__s{start}__e{start + 10}" for start in (0, 100, 10, 3, 90, 9)]
+        starts = (0, 100, 10, 3, 90, 9)
+        pooled = [_dense_pool(spec, " ".join(_WORDS[s % 7 : s % 7 + 5])) for s in starts]
+        buckets = np.concatenate([np.flatnonzero(row) for row in pooled])
+        rows = np.repeat(np.arange(len(pooled)), [np.count_nonzero(row) for row in pooled])
+        weights = np.concatenate([row[row != 0] for row in pooled])
+        order = np.argsort(buckets, kind="stable")
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(buckets, minlength=dim))])
         for built in (index, loaded):
-            assert np.array_equal(built._post_rows, rows[order])
-            assert np.array_equal(built._post_weights, index.weights[order])
-            assert built._post_ptr[-1] == len(index.buckets)
-            assert [ref.clip_id for ref in _refs(built)] == ids
+            assert (built.post_ptr.dtype, built.post_rows.dtype) == (np.int64, np.intp)
+            assert np.array_equal(built.post_ptr, ptr)
+            assert np.array_equal(built.post_rows, rows[order])
+            assert built.post_weights.tobytes() == weights[order].tobytes()
+            assert [ref.clip_id for ref in _refs(built)] == [f"v__s{s}__e{s + 10}" for s in starts]
 
     def test_build_save_and_load_make_refs_only_for_returned_rows(
         self, tmp_path, spec, monkeypatch
@@ -966,8 +995,7 @@ class TestSerialization:
         loaded = load_index(tmp_path / "asr.idx")
         arrays = {name: a for name, a in vars(loaded).items() if isinstance(a, np.ndarray)}
         assert set(arrays) == {
-            "video_numbers", "start_s", "end_s", "indptr", "buckets", "weights",
-            "_post_rows", "_post_weights", "_post_ptr",
+            "video_numbers", "start_s", "end_s", "post_ptr", "post_rows", "post_weights",
         }
         assert [name for name, a in arrays.items() if a.base is not None] == []
 
