@@ -209,17 +209,13 @@ def _require(config: RunConfig, name: str) -> str:
     return value
 
 
-def _require_file(config: RunConfig, name: str) -> str:
+def _require_path(config: RunConfig, name: str, kind: str) -> str:
+    """The setting's path, which must name an existing ``kind``: "file" or "directory"."""
     value = _require(config, name)
-    if not Path(value).is_file():
-        raise UsageError(f"{name} path does not exist: {value}")
-    return value
-
-
-def _require_dir(config: RunConfig, name: str) -> str:
-    value = _require(config, name)
-    if not Path(value).is_dir():
-        raise UsageError(f"{name} path does not exist: {value}")
+    path = Path(value)
+    if not (path.is_dir() if kind == "directory" else path.is_file()):
+        problem = f"is not a {kind}" if path.exists() else "does not exist"
+        raise UsageError(f"{name} path {problem}: {value}")
     return value
 
 
@@ -293,7 +289,7 @@ def cmd_gen_corpus(config: RunConfig) -> int:
 
 
 def cmd_build_index(config: RunConfig) -> int:
-    corpus_path = _require_file(config, "corpus")
+    corpus_path = _require_path(config, "corpus", "file")
     index_dir = Path(_require(config, "index_dir"))
     corpus = load_corpus(corpus_path)
     spec = config.embedder_spec()
@@ -327,7 +323,7 @@ def cmd_route(config: RunConfig, query_text: str) -> int:
 def cmd_query(config: RunConfig, query_text: str) -> int:
     if not query_text or not query_text.strip():
         raise UsageError("query text must be non-empty")
-    index_dir = _require_dir(config, "index_dir")
+    index_dir = _require_path(config, "index_dir", "directory")
     query = QueryRecord(query_id="cli", text=query_text, gold=_CLI_GOLD)
     decision = make_router(config.router_config()).route(query)
     indices = _load_indices(index_dir, [m.wire for m in decision.modalities])
@@ -348,9 +344,9 @@ def cmd_query(config: RunConfig, query_text: str) -> int:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    corpus_path = _require_file(config, "corpus")
-    queries_path = _require_file(config, "queries")
-    index_dir = _require_dir(config, "index_dir")
+    corpus_path = _require_path(config, "corpus", "file")
+    queries_path = _require_path(config, "queries", "file")
+    index_dir = _require_path(config, "index_dir", "directory")
     if not config.methods:
         raise UsageError("evaluate requires at least one method")
     methods = [_parse_method(m, config) for m in config.methods]

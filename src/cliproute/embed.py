@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from collections import Counter
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -30,7 +30,9 @@ MAX_DIM = 2**20
 REFERENCE_EMBEDDER = "hashed-trigram"
 
 #: Most words whose buckets the reference embedder keeps, least recently
-#: used first out. A query round of the 1k-clip corpus uses ~3,000 words.
+#: used first out. A query round of the 1k-clip corpus uses ~3,000 words; a
+#: build of the 5k-clip corpus uses 15,018 distinct words (seed 7), more than
+#: the memo holds: such a build misses it 30,019 times.
 _WORD_MEMO_SIZE = 4096
 
 #: Parameters recorded in every reference EmbedderSpec so index files are
@@ -117,14 +119,28 @@ def _word_buckets(dim: int, word: str) -> tuple[int, ...]:
 
 def _hashed_trigram_embed(spec: EmbedderSpec, text: str) -> SparseVector:
     dim = spec.dim
-    counts = Counter(b for word in normalize_text(text).split() for b in _word_buckets(dim, word))
-    if not counts:
+    features: list[int] = []
+    for word in normalize_text(text).split():
+        features.extend(_word_buckets(dim, word))
+    if not features:
         return SparseVector(dim, np.zeros(0, dtype=np.intp), np.zeros(0))
-    buckets = sorted(counts)
-    nonzero = np.array([counts[b] for b in buckets])
-    # Integer counts make the sum of squares exact, so each weight is
-    # bit-equal to the dense ``vec / np.linalg.norm(vec)`` entry.
-    return SparseVector(dim, np.array(buckets, dtype=np.intp), nonzero / np.sqrt(nonzero @ nonzero))
+    features.sort()
+    # Run-length count the sorted features: each bucket once, ascending.
+    buckets: list[int] = []
+    counts: list[int] = []
+    last = -1
+    for b in features:
+        if b == last:
+            counts[-1] += 1
+        else:
+            buckets.append(b)
+            counts.append(1)
+            last = b
+    # Integer counts make the sum of squares exact, and both sqrts round
+    # correctly, so each weight is bit-equal to the dense
+    # ``vec / np.linalg.norm(vec)`` entry.
+    weights = np.array(counts, dtype=np.float64) / math.sqrt(sum(c * c for c in counts))
+    return SparseVector(dim, np.array(buckets, dtype=np.intp), weights)
 
 
 _EmbedFn = Callable[[EmbedderSpec, str], SparseVector]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import asdict, dataclass, field
 from itertools import compress
@@ -141,14 +142,16 @@ def _pool_block(rows: list[list[SparseVector]], scratch: np.ndarray) -> tuple[np
     sums = np.bincount(np.cumsum(first) - 1, weights=weights[order])
     entry_rows, entry_buckets = np.divmod(keys[first], dim)
     means = sums / np.array([len(row) for row in rows], dtype=np.float64)[entry_rows]
-    # The norm runs over the full-width row: a norm over the nonzeros alone
-    # sums in another order and can change the last bit of a stored weight.
+    # Each norm is sqrt(row . row) over the full-width row, the same BLAS
+    # dot that np.linalg.norm runs for a 1-D float64 array, without its
+    # wrapper. A dot over the nonzeros alone sums in another order and can
+    # change the last bit of a stored weight.
     ptr = np.searchsorted(entry_rows, np.arange(len(rows) + 1)).tolist()
     row_norms = []
     for lo, hi in zip(ptr[:-1], ptr[1:]):
         support = entry_buckets[lo:hi]
         scratch[support] = means[lo:hi]
-        row_norms.append(np.linalg.norm(scratch))
+        row_norms.append(math.sqrt(scratch.dot(scratch)))
         scratch[support] = 0.0
     norms = np.array(row_norms)
     keep = norms != 0.0

@@ -190,6 +190,14 @@ class TestBuildIndex:
         assert code == EXIT_USAGE
         assert not workspace["index_dir"].exists()
 
+    def test_corpus_that_is_a_directory_is_usage_error(self, workspace, tmp_path, capsys):
+        code = main(
+            ["build-index", "--corpus", str(tmp_path), "--index-dir", str(workspace["index_dir"])]
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: corpus path is not a file: {tmp_path}\n"
+        assert not workspace["index_dir"].exists()
+
     def test_malformed_corpus_is_runtime_error_without_partial_output(self, workspace, capsys):
         workspace["corpus"].write_text('{"clip_id": "oops"}\n')
         code = main(
@@ -360,6 +368,21 @@ class TestQuery:
         )
         assert code == EXIT_RUNTIME
         assert "'asr'" in capsys.readouterr().err
+
+    def test_index_dir_that_is_a_file_is_usage_error(self, workspace, capsys):
+        _gen(workspace)
+        capsys.readouterr()
+        index_dir = workspace["corpus"]
+        assert main(["query", "--index-dir", str(index_dir), "who says anything"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: index_dir path is not a directory: {index_dir}\n"
+
+    def test_missing_index_dir_is_usage_error(self, workspace, capsys):
+        index_dir = workspace["index_dir"]
+        assert main(["query", "--index-dir", str(index_dir), "who says anything"]) == EXIT_USAGE
+        message = f"usage error: index_dir path does not exist: {index_dir}\n"
+        assert capsys.readouterr().err == message
 
     def test_a_repeated_clip_row_is_runtime_error(self, workspace, capsys):
         _gen(workspace)

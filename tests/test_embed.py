@@ -111,6 +111,21 @@ class TestDenseOracleParity:
         # dim 8 makes most features collide, so counts above 1 are common.
         _assert_matches_oracle(default_spec(dim), text)
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        words=st.lists(
+            # A 3-letter word is its own trigram, and "banana" and
+            # "mississippi" repeat trigrams within the word.
+            st.sampled_from(["a", "cat", "ana", "banana", "mississippi", "concatenate"]),
+            max_size=40,
+        ),
+        dim=st.sampled_from([8, 64, 4096]),
+    )
+    def test_repeated_words_count_above_one(self, words, dim):
+        # st.text rarely repeats a word; six words make every run of the
+        # sorted features long, which is where run-length counting can slip.
+        _assert_matches_oracle(default_spec(dim), " ".join(words))
+
 
 class TestWordMemo:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)

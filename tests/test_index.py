@@ -374,6 +374,31 @@ class TestBuildIndex:
         save_index(build_index(corpus, Modality.ASR, spec), tmp_path / "one_by_one.idx")
         assert (tmp_path / "blocks.idx").read_bytes() == (tmp_path / "one_by_one.idx").read_bytes()
 
+    def test_build_embeds_each_sentence_once_in_clip_id_order(self, spec, monkeypatch):
+        # The benchmark times embedding through these calls; a batched build
+        # that stops making them changes this test and the benchmark together.
+        corpus = _corpus(
+            _clip("b", 0, asr_text="Cedar iris. Maple! Olive?"),
+            _clip("a", 20, asr_text="amber basil"),
+            _clip("a", 0, asr_text="?! fennel. ginger"),
+            _clip("c", 0, ocr_text="hazel", asr_text=None),
+            _clip("a", 10, asr_text="juniper laurel. laurel juniper"),
+        )
+        calls = []
+        original = index_module.embed_text
+
+        def spying_embed_text(spec, text):
+            calls.append((spec, text))
+            return original(spec, text)
+
+        monkeypatch.setattr(index_module, "embed_text", spying_embed_text)
+        build_index(corpus, Modality.ASR, spec)
+        clips = sorted(corpus, key=lambda clip: clip.ref.clip_id)
+        assert calls == [
+            (spec, sentence) for clip in clips for sentence in split_sentences(clip.asr_text or "")
+        ]
+        assert len(calls) == 8
+
     def test_a_time_error_comes_before_later_clips_are_embedded(self):
         late = ClipRecord(ref=ClipRef("a", 2**32, 2**32 + 10), asr_text="up")
         broken = _clip("b", 0, asr_text="unsorted")
