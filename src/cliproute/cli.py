@@ -326,11 +326,9 @@ def cmd_query(config: RunConfig, query_text: str) -> int:
     index_dir = _require_path(config, "index_dir", "directory")
     query = QueryRecord(query_id="cli", text=query_text, gold=_CLI_GOLD)
     decision = make_router(config.router_config()).route(query)
-    indices = _load_indices(index_dir, [m.wire for m in decision.modalities])
-    fusion = FusionMethod(config.fusion)
-    items = retrieve(
-        query, decision, indices, config.depth, fusion, config.rrf_k, config.use_rewrites
-    )
+    searches = decision.searches(query_text, config.use_rewrites)
+    indices = _load_indices(index_dir, [source for source, _ in searches])
+    items = retrieve(searches, indices, config.depth, FusionMethod(config.fusion), config.rrf_k)
     payload = [
         {
             "clip_id": item.ref.clip_id,
@@ -349,6 +347,9 @@ def cmd_evaluate(config: RunConfig) -> int:
     index_dir = _require_path(config, "index_dir", "directory")
     if not config.methods:
         raise UsageError("evaluate requires at least one method")
+    repeated = sorted({m for m in config.methods if config.methods.count(m) > 1})
+    if repeated:
+        raise UsageError(f"evaluation method listed more than once: {', '.join(repeated)}")
     methods = [_parse_method(m, config) for m in config.methods]
 
     corpus = load_corpus(corpus_path)

@@ -21,7 +21,7 @@ from .corpus import FUSED_SOURCE, Corpus, ClipRef, MODALITIES, Modality, QueryRe
 from .embed import embed_text, is_zero
 from .fusion import FusionMethod, DEFAULT_RRF_K, FusedItem, fuse
 from .index import DEFAULT_DEPTH, ModalityIndex, search
-from .router import AllRouter, Origin, Router, RoutingDecision, constrain_single
+from .router import AllRouter, Router, RoutingDecision, constrain_single
 
 TOTAL_MODALITIES = 3
 
@@ -189,13 +189,17 @@ class EvalMethod:
 
     kind: MethodKind
     modality: Optional[Modality] = None  # SINGLE only
-    router: Optional[Router] = None  # ROUTED only
+    router: Optional[Router] = None  # given for ROUTED; None only for ALL_TEXT
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind is MethodKind.SINGLE and self.modality is None:
-            raise EvalError("single-modality method requires a modality")
-        if self.kind is MethodKind.ROUTED and self.router is None:
+        if self.kind is MethodKind.SINGLE:
+            if self.modality is None:
+                raise EvalError("single-modality method requires a modality")
+            self.router = AllRouter((self.modality,))
+        elif self.kind is MethodKind.LATE_FUSION_ALL:
+            self.router = AllRouter()
+        elif self.kind is MethodKind.ROUTED and self.router is None:
             raise EvalError("routed method requires a router")
         if not self.label:
             suffix = ""
@@ -250,28 +254,24 @@ class _QueryOutcome:
 
 
 def retrieve(
-    query: QueryRecord,
-    decision: RoutingDecision,
+    searches: Sequence[tuple[str, str]],
     indices: Mapping[str, ModalityIndex],
     depth: int,
     fusion_method: FusionMethod,
     rrf_k: float,
-    use_rewrites: bool,
 ) -> Optional[list[FusedItem]]:
-    """Search the decision's indices and fuse their non-empty ranked lists.
+    """Search each (index source, text) pair and fuse the non-empty ranked lists.
 
-    ``cliproute query`` and the evaluation runner both retrieve through
-    here. Each distinct text (the query, or each rewrite under
-    ``use_rewrites``) is embedded once, by the first index that needs it;
+    ``cliproute query`` and every evaluation method retrieve through here.
+    Each distinct text is embedded once, by the first index that needs it;
     empty vectors are not searched. Returns None when every text embeds to
     an empty vector.
     """
     vectors, lists = {}, []
-    for modality, optimized in decision.selections:
-        index = indices.get(modality.wire)
+    for source, text in searches:
+        index = indices.get(source)
         if index is None:
-            raise EvalError(f"missing index for modality {modality.wire!r}")
-        text = optimized if use_rewrites else query.text
+            raise EvalError(f"missing index for source {source!r}")
         vec = vectors.get(text)
         if vec is None:
             vec = vectors[text] = embed_text(index.embedder, text)
@@ -294,28 +294,19 @@ def _rank_for_query(
     rrf_k: float,
     use_rewrites: bool,
 ) -> _QueryOutcome:
-    if method.kind is MethodKind.ALL_TEXT:
-        fused = indices.get(FUSED_SOURCE)
-        if fused is None:
-            raise EvalError(f"all_text evaluation requires the {FUSED_SOURCE!r} index")
-        vec = embed_text(fused.embedder, query.text)
-        unembeddable = is_zero(vec)
-        refs = [] if unembeddable else [ref for ref, _ in search(fused, vec, depth).items]
+    if method.router is None:  # all_text
         # All-text accounting treats the fused caption as consuming all
         # three modalities' content, matching its exhaustive upper-bound
         # role, even though one physical index is searched.
-        return _QueryOutcome(query, refs, float(TOTAL_MODALITIES), None, unembeddable)
-
-    if method.kind is MethodKind.ROUTED:
+        decision, searches = None, [(FUSED_SOURCE, query.text)]
+        selected = float(TOTAL_MODALITIES)
+    else:
         decision = method.router.route(query)
-    elif method.kind is MethodKind.SINGLE:
-        decision = RoutingDecision([(method.modality, query.text)], Origin.ALL)
-    else:  # LATE_FUSION_ALL
-        decision = AllRouter().route(query)
-
-    items = retrieve(query, decision, indices, depth, fusion_method, rrf_k, use_rewrites)
+        searches = decision.searches(query.text, use_rewrites)
+        selected = float(len(searches))
+    items = retrieve(searches, indices, depth, fusion_method, rrf_k)
     refs = [item.ref for item in items or ()]
-    return _QueryOutcome(query, refs, float(len(decision.selections)), decision, items is None)
+    return _QueryOutcome(query, refs, selected, decision, items is None)
 
 
 def _gold_rank_and_gains(

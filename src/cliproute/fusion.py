@@ -1,8 +1,8 @@
-"""Rank-based fusion of per-modality result lists.
+"""Rank-based fusion of per-source result lists.
 
 Linear fusion sums (n - rank) contributions per list; reciprocal rank
 fusion sums 1/(k + rank). Both are purely rank-driven (no similarity
-values), keep per-item provenance of contributing modalities, and order
+values), keep per-item provenance of contributing index sources, and order
 ties deterministically so reports are reproducible. :func:`fuse` returns
 the ranked :class:`FusedItem` list itself.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .corpus import ClipRef, Modality
+from .corpus import MODALITIES, ClipRef
 from .index import RankedList
 
 DEFAULT_RRF_K = 60.0
@@ -33,12 +33,12 @@ class FusionMethod(str, Enum):
 class FusedItem:
     ref: ClipRef
     score: float
-    #: 1-based rank per contributing modality; absent modalities are omitted.
-    provenance: dict[Modality, int]
+    #: 1-based rank per contributing index source; absent sources are omitted.
+    provenance: dict[str, int]
 
     def provenance_wire(self) -> dict[str, Optional[int]]:
         """All three modality keys with null for non-contributing ones."""
-        return {m.wire: self.provenance.get(m) for m in Modality}
+        return {m.wire: self.provenance.get(m.wire) for m in MODALITIES}
 
 
 def fuse(
@@ -63,13 +63,11 @@ def fuse(
         raise FusionError("fusion requires at least one ranked list")
     if len(lists) > 3:
         raise FusionError(f"fusion takes at most 3 lists, got {len(lists)}")
-    seen_modalities = set()
+    seen_sources = set()
     for ranked in lists:
-        if ranked.modality is None:
-            raise FusionError("fusion inputs must come from modality indices")
-        if ranked.modality in seen_modalities:
-            raise FusionError(f"duplicate modality {ranked.modality.wire!r} in fusion input")
-        seen_modalities.add(ranked.modality)
+        if ranked.source in seen_sources:
+            raise FusionError(f"duplicate source {ranked.source!r} in fusion input")
+        seen_sources.add(ranked.source)
     max_len = max(len(ranked.items) for ranked in lists)
 
     # contribution[rank - 1] is what a list adds for an item at ``rank``.
@@ -85,9 +83,8 @@ def fuse(
 
     if len(lists) == 1:
         (ranked,) = lists
-        modality = ranked.modality
         return [
-            FusedItem(ref, score, {modality: rank})
+            FusedItem(ref, score, {ranked.source: rank})
             for rank, ((ref, _), score) in enumerate(zip(ranked.items, contribution), start=1)
         ]
 
@@ -96,12 +93,12 @@ def fuse(
         for rank, (ref, _score) in enumerate(ranked.items, start=1):
             item = by_ref.get(ref)
             if item is None:
-                by_ref[ref] = FusedItem(ref, contribution[rank - 1], {ranked.modality: rank})
+                by_ref[ref] = FusedItem(ref, contribution[rank - 1], {ranked.source: rank})
             else:
                 item.score += contribution[rank - 1]
-                item.provenance[ranked.modality] = rank
+                item.provenance[ranked.source] = rank
 
-    # Ties: better best-rank first, then more contributing modalities,
+    # Ties: better best-rank first, then more contributing sources,
     # then ascending canonical clip id.
     return sorted(
         by_ref.values(),

@@ -26,7 +26,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import compress
 from pathlib import Path
 from typing import Optional
@@ -81,11 +81,8 @@ class ModalityIndex:
     post_rows: np.ndarray  # (nnz,) intp rows, ascending within a bucket
     post_weights: np.ndarray  # (nnz,) float64 values
     build_stats: BuildStats
-    #: The modality this index serves; None for the fused-caption index.
-    modality: Optional[Modality] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.modality = Modality.from_wire(self.source)
         # Row i's ClipRef once made, else None; search reads it directly.
         self._refs: list[Optional[ClipRef]] = [None] * len(self)
 
@@ -103,9 +100,9 @@ class ModalityIndex:
 
 @dataclass
 class RankedList:
-    """Top-n search result for one source, scores positive and non-increasing."""
+    """Top-n search result for one index source, scores positive and non-increasing."""
 
-    modality: Optional[Modality]
+    source: str
     items: list[tuple[ClipRef, float]]
 
 
@@ -269,7 +266,7 @@ def search(index: ModalityIndex, vec: SparseVector, n: int) -> RankedList:
     items = [
         (made[i] or index.ref(i), score) for i, score in zip(top.tolist(), scores[top].tolist())
     ]
-    return RankedList(modality=index.modality, items=items)
+    return RankedList(index.source, items)
 
 
 def _header_line(header: dict) -> bytes:

@@ -88,6 +88,11 @@ class RoutingDecision:
         """Wire-form decision: only selected keys, in confidence order."""
         return {m.wire: q for m, q in self.selections}
 
+    def searches(self, text: str, use_rewrites: bool) -> list[tuple[str, str]]:
+        """(index source, text to search) per selection, in confidence order:
+        the selection's optimized query under ``use_rewrites``, else ``text``."""
+        return [(m.wire, optimized if use_rewrites else text) for m, optimized in self.selections]
+
 
 @dataclass
 class RouterConfig:
@@ -307,12 +312,15 @@ class OracleRouter:
         )
 
 
+@dataclass
 class AllRouter:
-    """Exhaustive-search baseline: always selects all three modalities."""
+    """Baseline that always selects ``modalities``: by default all three (exhaustive search)."""
+
+    modalities: tuple[Modality, ...] = MODALITIES
 
     def route(self, query: QueryRecord) -> RoutingDecision:
         return RoutingDecision(
-            selections=[(m, query.text) for m in MODALITIES], origin=Origin.ALL
+            selections=[(m, query.text) for m in self.modalities], origin=Origin.ALL
         )
 
 

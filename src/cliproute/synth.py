@@ -18,8 +18,11 @@ Planted tokens are minted so their hash buckets under the default reference
 embedder are pairwise distinct and disjoint from every template word's
 buckets. That keeps the score ladder exact instead of statistically likely;
 the guarantee holds while the token count stays well under the embedder
-dimension (roughly 1,100 clips at the default 4096 buckets), which covers
-the generator's intended test scale.
+dimension (roughly 1,100 clips at the default 4096 buckets). Past that,
+tokens are only string-unique. Tokens have 3 letters until those run out,
+near 5,600 clips; the rest of the corpus gets 5-letter tokens, which share
+trigrams with many other clips' tokens, so past that size scores no longer
+form a ladder.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ _TEMPLATE_WORDS = frozenset(
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _MINT_ATTEMPTS = 200
+#: Token length once 3-letter tokens run out: 26**5 leaves room for millions.
+_LONG_TOKEN_LETTERS = 5
 
 
 def _word_buckets(word: str, dim: int) -> set[int]:
@@ -82,11 +87,13 @@ def _word_buckets(word: str, dim: int) -> set[int]:
 
 
 class _TokenMint:
-    """Deterministic supply of 3-letter tokens with disjoint hash buckets."""
+    """Deterministic supply of 3-letter tokens with disjoint hash buckets,
+    then of 5-letter tokens once a 3-letter draw fails."""
 
     def __init__(self, rng: random.Random, dim: int) -> None:
         self._rng = rng
         self._dim = dim
+        self._letters = 3
         self._used_words: set[str] = set(_TEMPLATE_WORDS) | set(ALL_CUE_WORDS)
         self._used_buckets: set[int] = set()
         for word in _TEMPLATE_WORDS:
@@ -97,7 +104,7 @@ class _TokenMint:
         # string-unique tokens (exactness guarantees no longer apply).
         enforce_disjoint = len(self._used_buckets) < 0.9 * self._dim
         for _ in range(_MINT_ATTEMPTS):
-            token = "".join(self._rng.choice(_ALPHABET) for _ in range(3))
+            token = "".join(self._rng.choice(_ALPHABET) for _ in range(self._letters))
             if token in self._used_words:
                 continue
             bucket = token_bucket(token, self._dim)
@@ -106,7 +113,12 @@ class _TokenMint:
             self._used_words.add(token)
             self._used_buckets.add(bucket)
             return token
-        raise CorpusError("token minting failed; corpus too large for synthetic mode")
+        if self._letters == _LONG_TOKEN_LETTERS:
+            raise CorpusError("token minting failed; corpus too large for synthetic mode")
+        # Switch for good: every later 3-letter token would cost its failed
+        # draws again.
+        self._letters = _LONG_TOKEN_LETTERS
+        return self.next_token()
 
 
 def _decoy_refs(gold: ClipRef, ordered_refs: list[ClipRef], count: int = 3) -> list[ClipRef]:

@@ -40,7 +40,7 @@ def _ref(i):
 
 def _ranked(modality, refs):
     items = [(ref, 1.0 - 0.01 * r) for r, ref in enumerate(refs)]
-    return RankedList(modality=modality, items=items)
+    return RankedList(source=modality, items=items)
 
 
 def _refs(fused):
@@ -51,7 +51,7 @@ def _brute_force(lists, method, n, k_const=60.0):
     table = {}
     for ranked in lists:
         for rank, (ref, _score) in enumerate(ranked.items, start=1):
-            table.setdefault(ref, {})[ranked.modality] = rank
+            table.setdefault(ref, {})[ranked.source] = rank
     rows = []
     for ref, ranks in table.items():
         if method == "linear":

@@ -608,6 +608,15 @@ class TestEvaluate:
         _build(workspace)
         assert self._evaluate(workspace, "sorcery") == EXIT_USAGE
 
+    def test_repeated_method_is_usage_error(self, workspace, capsys):
+        _gen(workspace)
+        _build(workspace)
+        capsys.readouterr()
+        code = self._evaluate(workspace, "routed:rule,all_text,routed:rule")
+        assert code == EXIT_USAGE
+        assert "routed:rule" in capsys.readouterr().err
+        assert not workspace["report"].exists()
+
     def test_truncated_index_is_runtime_error(self, workspace, capsys):
         _gen(workspace)
         _build(workspace)

@@ -1,5 +1,6 @@
 """Tests for the clip/query data model, corpus IO, and the synthetic generator."""
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -365,3 +366,32 @@ class TestSyntheticGenerator:
         per_clip = Counter((q.gold, q.source_modality) for q in queries)
         assert len(per_clip) == len(corpus) * len(MODALITIES)
         assert set(per_clip.values()) == {1}
+
+    @pytest.mark.parametrize(
+        "seed, videos, corpus_sha, queries_sha",
+        [
+            (
+                1,
+                200,
+                "a4344fe69aea2bf9f771c3b3a1ffeb384a92f6baf2148ddc0063e771a8c3d5d4",
+                "a207654802fabf594b6a205f07f2cb6143a0a9328cd910d927187737154718e3",
+            ),
+            (
+                7,
+                1000,
+                "513ecc832c9d60edef4a9002ed7ca37e2cf6fe72ca8882858bdda104cabfad22",
+                "63298de727661ae1b13b56e8c43a2aeb8b13462c79d2145e97a03310c9b3ea09",
+            ),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, seed, videos, corpus_sha, queries_sha):
+        corpus, queries = generate_synthetic_corpus(seed, videos, 5)
+        assert hashlib.sha256(corpus_to_jsonl(corpus).encode("utf-8")).hexdigest() == corpus_sha
+        assert hashlib.sha256(queries_to_jsonl(queries).encode("utf-8")).hexdigest() == queries_sha
+
+    def test_generates_past_the_three_letter_token_space(self):
+        # 18,000 tokens do not fit in the 26**3 three-letter words left
+        # after the template and cue words.
+        corpus, queries = generate_synthetic_corpus(7, 1200, 5)
+        assert len(corpus) == 6000
+        assert len(queries) == 18000

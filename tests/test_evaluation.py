@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliproute import evaluation
+from cliproute import cli, evaluation
 from cliproute.corpus import (
+    FUSED_SOURCE,
     ClipRecord,
     ClipRef,
     Corpus,
@@ -197,14 +198,15 @@ class TestAggregation:
     @given(cases=_ranking_cases())
     def test_report_fields_equal_the_oracle_sums(self, cases):
         queries = [
-            QueryRecord(f"q{i:02d}", "anything", gold, category=("a", "b")[i % 2])
+            QueryRecord(f"q{i:02d}", f"q{i:02d}", gold, category=("a", "b")[i % 2])
             for i, (gold, _) in enumerate(cases)
         ]
         corpus = Corpus.from_records([ClipRecord(ref=q.gold, visual_caption="x") for q in queries])
         rankings = {q.query_id: ranking for q, (_, ranking) in zip(queries, cases)}
 
-        def fake_retrieve(query, *_):
-            return [FusedItem(ref, 1.0, {}) for ref in rankings[query.query_id]]
+        def fake_retrieve(searches, *_):
+            ((_, text),) = searches
+            return [FusedItem(ref, 1.0, {}) for ref in rankings[text]]
 
         method = EvalMethod(kind=MethodKind.SINGLE, modality=Modality.ASR)
         with mock.patch.object(evaluation, "retrieve", fake_retrieve):
@@ -525,6 +527,14 @@ def _old_query_items(query, decision, indices, depth, method, rrf_k, use_rewrite
     return fuse(non_empty, method, depth, rrf_k) if non_empty else []
 
 
+def _old_all_text_refs(query, indices, depth):
+    """The runner's ``all_text`` rule before ``retrieve``: embed for the
+    fused index and take its list in its own order; None for a zero vector."""
+    fused = indices[FUSED_SOURCE]
+    vec = embed_text(fused.embedder, query.text)
+    return None if is_zero(vec) else [ref for ref, _ in search(fused, vec, depth).items]
+
+
 def _strip_cues(text):
     return " ".join(w for w in text.split() if normalize_text(w) not in ALL_CUE_WORDS)
 
@@ -559,10 +569,10 @@ def _parity_cases(queries):
 @pytest.mark.parametrize("fusion", [FusionMethod.LINEAR, FusionMethod.RRF])
 def test_retrieve_matches_both_paths_it_replaces(acceptance_corpus, fusion):
     _, queries, indices = acceptance_corpus
-    seen = {"three-list": 0, "unembeddable": 0}
+    seen = {"three-list": 0, "unembeddable": 0, "all_text unembeddable": 0}
     for query, decision, use_rewrites in _parity_cases(queries):
         args = (query, decision, indices, 50, fusion, 60.0, use_rewrites)
-        items = retrieve(*args)
+        items = retrieve(decision.searches(query.text, use_rewrites), indices, 50, fusion, 60.0)
         old_refs = _old_evaluation_refs(*args)
         assert (items is None) == (old_refs is None)
         assert [item.ref for item in items or ()] == (old_refs or [])
@@ -570,14 +580,32 @@ def test_retrieve_matches_both_paths_it_replaces(acceptance_corpus, fusion):
         assert [(i.ref, i.score, i.provenance) for i in items or ()] == [
             (i.ref, i.score, i.provenance) for i in old_items
         ]
+        all_text = retrieve([(FUSED_SOURCE, query.text)], indices, 50, fusion, 60.0)
+        old_all_text = _old_all_text_refs(query, indices, 50)
+        assert (all_text is None) == (old_all_text is None)
+        assert [item.ref for item in all_text or ()] == (old_all_text or [])
         seen["three-list"] += any(len(i.provenance) == 3 for i in items or ())
         seen["unembeddable"] += items is None
+        seen["all_text unembeddable"] += all_text is None
     assert seen["three-list"] >= 300 and seen["unembeddable"] == 1
+    assert seen["all_text unembeddable"] == 1
 
 
 def test_retrieve_rejects_a_missing_index(acceptance_corpus):
     _, queries, indices = acceptance_corpus
     partial = {k: v for k, v in indices.items() if k != "ocr"}
-    decision = AllRouter().route(queries[0])
+    searches = AllRouter().route(queries[0]).searches(queries[0].text, False)
     with pytest.raises(EvalError, match="'ocr'"):
-        retrieve(queries[0], decision, partial, 50, FusionMethod.LINEAR, 60.0, False)
+        retrieve(searches, partial, 50, FusionMethod.LINEAR, 60.0)
+
+
+@pytest.mark.parametrize("spec", ["late_fusion_all", "single:asr", "all_text"])
+def test_methods_built_by_kind_report_as_the_cli_parses_them(acceptance_corpus, spec):
+    corpus, queries, indices = acceptance_corpus
+    kind, _, modality = spec.partition(":")
+    built = EvalMethod(kind=MethodKind(kind), modality=Modality.from_wire(modality), label=spec)
+    parsed = cli._parse_method(spec, cli.RunConfig())
+    built_report, parsed_report = (
+        run_evaluation(corpus, queries[::7], method, indices).to_dict() for method in (built, parsed)
+    )
+    assert built_report == parsed_report

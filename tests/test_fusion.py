@@ -18,7 +18,7 @@ def _ref(i):
 
 def _ranked(modality, refs):
     items = [(ref, 1.0 - 0.01 * rank) for rank, ref in enumerate(refs)]
-    return RankedList(modality=modality, items=items)
+    return RankedList(source=modality, items=items)
 
 
 def _refs(fused):
@@ -30,7 +30,7 @@ def brute_force_fuse(lists, method, n, k_const=60.0):
     table = {}
     for ranked in lists:
         for rank, (ref, _score) in enumerate(ranked.items, start=1):
-            table.setdefault(ref, {})[ranked.modality] = rank
+            table.setdefault(ref, {})[ranked.source] = rank
     rows = []
     for ref, ranks in table.items():
         if method == "linear":
@@ -99,7 +99,7 @@ class TestLinearFuse:
     def test_duplicate_modalities_rejected(self):
         a = _ranked(Modality.ASR, [_ref(1)])
         b = _ranked(Modality.ASR, [_ref(2)])
-        with pytest.raises(FusionError, match="duplicate modality"):
+        with pytest.raises(FusionError, match="duplicate source"):
             fuse([a, b], FusionMethod.LINEAR, 10)
 
     def test_all_empty_lists_fuse_to_empty(self):

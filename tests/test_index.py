@@ -241,7 +241,6 @@ class TestBuildIndex:
         index = build_fused_index(corpus, spec)
         assert len(index) == 1
         assert index.source == "fused"
-        assert index.modality is None
 
     def test_rows_keep_exactly_the_pooled_nonzeros(self, spec):
         corpus = _corpus(
