@@ -26,6 +26,7 @@ from .corpus import (
     MODALITIES,
     Modality,
     QueryRecord,
+    json_object,
     load_corpus,
     load_queries,
     save_corpus,
@@ -108,6 +109,10 @@ class RunConfig:
             raise UsageError(f"rrf_k must be finite and positive, got {self.rrf_k}")
         if not (math.isfinite(self.llm_timeout_s) and self.llm_timeout_s > 0):
             raise UsageError(f"llm_timeout_s must be finite and positive, got {self.llm_timeout_s}")
+        if self.n_videos < 1:
+            raise UsageError(f"n_videos must be >= 1, got {self.n_videos}")
+        if self.clips_per_video < 1:
+            raise UsageError(f"clips_per_video must be >= 1, got {self.clips_per_video}")
         if self.llm_max_retries < 1:
             raise UsageError(f"llm_max_retries must be >= 1, got {self.llm_max_retries}")
         if self.router not in ROUTER_BACKENDS:
@@ -176,12 +181,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise UsageError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise UsageError("config file must hold a JSON object")
+        loaded = json_object(path.read_bytes(), lambda msg: UsageError(f"config file {path}: {msg}"))
         unknown = set(loaded) - _CONFIG_KEYS
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -219,14 +219,18 @@ def _require_path(config: RunConfig, name: str, kind: str) -> str:
     return value
 
 
-def _parse_method(spec_str: str, config: RunConfig) -> EvalMethod:
+def _method_name(spec_str: str) -> tuple[str, str]:
+    """A method spec's name and qualifier, as :func:`_parse_method` reads them."""
     name, _, qualifier = spec_str.partition(":")
-    name = name.strip().lower()
-    qualifier = qualifier.strip().lower()
-    if name == "late_fusion_all":
-        return EvalMethod(kind=MethodKind.LATE_FUSION_ALL, label=spec_str)
-    if name == "all_text":
-        return EvalMethod(kind=MethodKind.ALL_TEXT, label=spec_str)
+    return name.strip().lower(), qualifier.strip().lower()
+
+
+def _parse_method(spec_str: str, config: RunConfig) -> EvalMethod:
+    name, qualifier = _method_name(spec_str)
+    if name in (MethodKind.LATE_FUSION_ALL, MethodKind.ALL_TEXT):
+        if qualifier:
+            raise UsageError(f"method {name} takes no qualifier, got {spec_str!r}")
+        return EvalMethod(kind=MethodKind(name), label=spec_str)
     if name == "single":
         modality = Modality.from_wire(qualifier)
         if modality is None:
@@ -267,10 +271,6 @@ def _load_indices(index_dir: str, sources: Sequence[str]) -> dict[str, ModalityI
 
 
 def cmd_gen_corpus(config: RunConfig) -> int:
-    if config.n_videos < 1:
-        raise UsageError(f"n_videos must be >= 1, got {config.n_videos}")
-    if config.clips_per_video < 1:
-        raise UsageError(f"clips_per_video must be >= 1, got {config.clips_per_video}")
     corpus_path = Path(_require(config, "corpus"))
     queries_path = Path(_require(config, "queries"))
     corpus, queries = generate_synthetic_corpus(
@@ -347,7 +347,8 @@ def cmd_evaluate(config: RunConfig) -> int:
     index_dir = _require_path(config, "index_dir", "directory")
     if not config.methods:
         raise UsageError("evaluate requires at least one method")
-    repeated = sorted({m for m in config.methods if config.methods.count(m) > 1})
+    names = [_method_name(m) for m in config.methods]
+    repeated = sorted({m for m, name in zip(config.methods, names) if names.count(name) > 1})
     if repeated:
         raise UsageError(f"evaluation method listed more than once: {', '.join(repeated)}")
     methods = [_parse_method(m, config) for m in config.methods]

@@ -1,4 +1,5 @@
-"""Clip and query data model plus JSONL corpus loading.
+"""Clip and query data model, JSONL corpus loading, and the one JSON decoder
+that every input file goes through (:func:`json_object`).
 
 A corpus is a set of video clips, each carrying up to three searchable
 modality texts (speech transcript, on-screen text, visual caption) and an
@@ -14,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
 class CorpusError(ValueError):
@@ -123,7 +124,10 @@ def parse_clip_id(s: str) -> ClipRef:
     # name what is wrong with an invalid one.
     match = _CANONICAL_ID_RE.fullmatch(s)
     if match is not None:
-        start, end = int(match[2]), int(match[3])
+        try:
+            start, end = int(match[2]), int(match[3])
+        except ValueError:  # past int()'s digit limit
+            raise CorpusError(f"clip id {s!r} has a boundary too long to read") from None
         if end > start:
             return ClipRef(match[1], start, end)
     if not s:
@@ -263,72 +267,103 @@ class Corpus:
         return stats
 
 
-def _optional_str(obj: dict, key: str, line_no: int) -> Optional[str]:
+def _optional_str(obj: dict, key: str) -> Optional[str]:
     value = obj.get(key)
     if value is not None and not isinstance(value, str):
-        raise CorpusError(f"line {line_no}: field {key!r} must be a string or null")
+        raise CorpusError(f"field {key!r} must be a string or null")
     return value
 
 
-def _clip_from_json(obj: dict, line_no: int) -> ClipRecord:
-    if not isinstance(obj, dict):
-        raise CorpusError(f"line {line_no}: expected a JSON object")
+#: A clip's JSONL keys, besides ``clip_id``, and the ClipRecord fields they hold.
+_CLIP_FIELDS = {
+    "category": "category",
+    "asr": "asr_text",
+    "ocr": "ocr_text",
+    "visual": "visual_caption",
+    "fused": "fused_caption",
+}
+
+
+def _clip_from_json(obj: dict) -> ClipRecord:
     clip_id = obj.get("clip_id")
     if not isinstance(clip_id, str) or not clip_id:
-        raise CorpusError(f"line {line_no}: missing or invalid 'clip_id'")
-    try:
-        ref = parse_clip_id(clip_id)
-    except CorpusError as exc:
-        raise CorpusError(f"line {line_no}: {exc}") from None
-    fields = {
-        attr: _optional_str(obj, key, line_no)
-        for key, attr in (
-            ("category", "category"),
-            ("asr", "asr_text"),
-            ("ocr", "ocr_text"),
-            ("visual", "visual_caption"),
-            ("fused", "fused_caption"),
-        )
-    }
-    record = ClipRecord(ref=ref, **fields)
-    try:
-        record.validate()
-    except CorpusError as exc:
-        raise CorpusError(f"line {line_no}: {exc}") from None
+        raise CorpusError("missing or invalid 'clip_id'")
+    fields = {attr: _optional_str(obj, key) for key, attr in _CLIP_FIELDS.items()}
+    record = ClipRecord(ref=parse_clip_id(clip_id), **fields)
+    record.validate()
     return record
 
 
-def read_lines(
-    path: str | Path, error: type[Exception] = CorpusError
-) -> Iterator[tuple[int, str]]:
-    """Yield (line number, stripped line) for each non-blank line of a UTF-8
-    text file; a file that is not UTF-8 raises ``error`` naming it."""
+def _query_from_json(obj: dict) -> QueryRecord:
+    query_id = obj.get("query_id")
+    if not isinstance(query_id, str) or not query_id:
+        raise CorpusError("missing or invalid 'query_id'")
+    text = obj.get("text")
+    if not isinstance(text, str) or not text.strip():
+        raise CorpusError(f"query {query_id!r} has empty text")
+    gold_id = obj.get("gold_clip_id")
+    if not isinstance(gold_id, str):
+        raise CorpusError("missing 'gold_clip_id'")
+    return QueryRecord(
+        query_id=query_id,
+        text=text,
+        gold=parse_clip_id(gold_id),
+        source_modality=_optional_str(obj, "source_modality"),
+        category=_optional_str(obj, "category"),
+    )
+
+
+def json_object(text: str | bytes, error: Callable[[str], Exception] = CorpusError) -> dict:
+    """Decode ``text`` as one JSON object; every input file is read through here.
+
+    Any failure raises ``error(message)``: bad JSON, nesting too deep for
+    the decoder, a number too long for ``int`` and a value that is not an
+    object.
+    """
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise error("expected a JSON object")
+    return obj
+
+
+def read_jsonl(
+    path: str | Path, add: Callable[[dict], None], error: type[Exception] = CorpusError
+) -> None:
+    """Pass the object on each non-blank line of a UTF-8 JSONL file to ``add``.
+
+    A line that is not a JSON object, and any ``error`` that ``add`` raises,
+    ends the read in one ``error`` that names the file and the line.
+    """
     try:
         with Path(path).open("r", encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
                 line = line.strip()
                 if line:
-                    yield line_no, line
+                    add(json_object(line, error))
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except error as exc:
+        raise error(f"{path}: line {line_no}: {exc}") from None
 
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load and validate a JSONL corpus file.
 
-    Rejects duplicate clip ids and reports schema violations with their
-    line numbers.
+    Rejects duplicate clip ids and reports schema violations with the file
+    and line.
     """
     clips: dict[ClipRef, ClipRecord] = {}
-    for line_no, line in read_lines(path):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-        record = _clip_from_json(obj, line_no)
+
+    def add(obj: dict) -> None:
+        record = _clip_from_json(obj)
         if record.ref in clips:
-            raise CorpusError(f"line {line_no}: duplicate clip id {record.ref.clip_id!r}")
+            raise CorpusError(f"duplicate clip id {record.ref.clip_id!r}")
         clips[record.ref] = record
+
+    read_jsonl(path, add)
     return Corpus(clips=clips)
 
 
@@ -336,55 +371,30 @@ def load_queries(path: str | Path) -> list[QueryRecord]:
     """Load a JSONL queries file; gold ids are parsed but resolved at eval time."""
     queries: list[QueryRecord] = []
     seen_ids: set[str] = set()
-    for line_no, line in read_lines(path):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-        if not isinstance(obj, dict):
-            raise CorpusError(f"line {line_no}: expected a JSON object")
-        query_id = obj.get("query_id")
-        if not isinstance(query_id, str) or not query_id:
-            raise CorpusError(f"line {line_no}: missing or invalid 'query_id'")
-        if query_id in seen_ids:
-            raise CorpusError(f"line {line_no}: duplicate query id {query_id!r}")
-        seen_ids.add(query_id)
-        text = obj.get("text")
-        if not isinstance(text, str) or not text.strip():
-            raise CorpusError(f"line {line_no}: query {query_id!r} has empty text")
-        gold_id = obj.get("gold_clip_id")
-        if not isinstance(gold_id, str):
-            raise CorpusError(f"line {line_no}: missing 'gold_clip_id'")
-        source_modality = _optional_str(obj, "source_modality", line_no)
-        category = _optional_str(obj, "category", line_no)
-        try:
-            gold = parse_clip_id(gold_id)
-            record = QueryRecord(
-                query_id=query_id,
-                text=text,
-                gold=gold,
-                source_modality=source_modality,
-                category=category,
-            )
-        except CorpusError as exc:
-            raise CorpusError(f"line {line_no}: {exc}") from None
-        queries.append(record)
+
+    def add(obj: dict) -> None:
+        query = _query_from_json(obj)
+        if query.query_id in seen_ids:
+            raise CorpusError(f"duplicate query id {query.query_id!r}")
+        seen_ids.add(query.query_id)
+        queries.append(query)
+
+    read_jsonl(path, add)
     return queries
+
+
+#: Encodes each JSONL line written; one instance, as ``json.dumps`` builds
+#: an encoder per call when given options.
+_encode_line = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 
 
 def corpus_to_jsonl(corpus: Corpus) -> str:
     """Serialize a corpus to its canonical JSONL form (one clip per line)."""
     lines = []
     for clip in corpus:
-        obj = {
-            "clip_id": clip.ref.clip_id,
-            "category": clip.category,
-            "asr": clip.asr_text,
-            "ocr": clip.ocr_text,
-            "visual": clip.visual_caption,
-            "fused": clip.fused_caption,
-        }
-        lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
+        obj = {key: getattr(clip, attr) for key, attr in _CLIP_FIELDS.items()}
+        obj["clip_id"] = clip.ref.clip_id
+        lines.append(_encode_line(obj))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -399,7 +409,7 @@ def queries_to_jsonl(queries: Sequence[QueryRecord]) -> str:
             "source_modality": q.source_modality,
             "category": q.category,
         }
-        lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True))
+        lines.append(_encode_line(obj))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -61,8 +61,6 @@ def fuse(
         raise FusionError(f"unknown fusion method {method!r}") from None
     if not lists:
         raise FusionError("fusion requires at least one ranked list")
-    if len(lists) > 3:
-        raise FusionError(f"fusion takes at most 3 lists, got {len(lists)}")
     seen_sources = set()
     for ranked in lists:
         if ranked.source in seen_sources:

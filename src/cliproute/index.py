@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import FUSED_SOURCE, INDEX_SOURCES, ClipRef, Corpus, Modality, clip_ids
+from .corpus import FUSED_SOURCE, INDEX_SOURCES, ClipRef, Corpus, Modality, clip_ids, json_object
 from .embed import EmbedderSpec, EmbeddingError, SparseVector, embed_text, is_zero
 
 FORMAT_NAME = "cliproute-index"
@@ -341,12 +341,7 @@ def _decode(data: bytes) -> ModalityIndex:
     # keeps is copied out of it, so a loaded index does not pin the file.
     size = data.find(b"\n") + 1 or len(data)
     header_line, payload = data[:size], memoryview(data)[size:]
-    try:
-        header = json.loads(header_line)
-    except ValueError:
-        raise IndexingError("not an index file (bad header)") from None
-    if not isinstance(header, dict):
-        raise IndexingError("not an index file (bad header)")
+    header = json_object(header_line, lambda _: IndexingError("not an index file (bad header)"))
     if header.get("format") != FORMAT_NAME:
         raise IndexingError(f"unexpected format {header.get('format')!r}")
     if header.get("version") != FORMAT_VERSION:

@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Protocol
 
-from .corpus import MODALITIES, Modality, QueryRecord, normalize_text, read_lines
+from .corpus import MODALITIES, Modality, QueryRecord, normalize_text, read_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -343,18 +343,13 @@ class ReplayRouter:
         if not config.replay_path:
             raise RouterError("replay backend requires a replay fixture path")
         self._responses: dict[str, str] = {}
-        for line_no, line in read_lines(config.replay_path, RouterError):
-            where = f"{config.replay_path}:{line_no}"
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:
-                raise RouterError(f"{where}: invalid JSON ({exc})") from None
-            if not isinstance(obj, dict):
-                raise RouterError(f"{where}: expected a JSON object")
-            missing = [key for key in ("query_id", "raw_response") if key not in obj]
-            if missing:
-                raise RouterError(f"{where}: missing {', '.join(map(repr, missing))}")
-            self._responses[str(obj["query_id"])] = str(obj["raw_response"])
+        read_jsonl(config.replay_path, self._add, RouterError)
+
+    def _add(self, obj: dict) -> None:
+        missing = [key for key in ("query_id", "raw_response") if key not in obj]
+        if missing:
+            raise RouterError(f"missing {', '.join(map(repr, missing))}")
+        self._responses[str(obj["query_id"])] = str(obj["raw_response"])
 
     def route(self, query: QueryRecord) -> RoutingDecision:
         raw = self._responses.get(query.query_id)
@@ -444,7 +439,7 @@ class LlmRouter:
                 break
             try:
                 content = response.json()["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
+            except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
                 last_error = f"malformed response body: {exc}"
                 continue
             self._audit(query, body, str(content), None)

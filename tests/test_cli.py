@@ -264,7 +264,7 @@ class TestRoute:
         assert code == EXIT_RUNTIME
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {fixture}:3: {message}")
+        assert captured.err.startswith(f"error: {fixture}: line 3: {message}")
 
     def test_empty_query_is_usage_error(self, capsys):
         assert main(["route", "   "]) == EXIT_USAGE
@@ -329,6 +329,49 @@ class TestNonUtf8Input:
         fixture.write_bytes(b"\xff\n")
         code = main(["route", "--router", "replay", "--replay-fixture", str(fixture), "x"])
         self._assert_rejected(code, capsys, fixture)
+
+
+_BAD_JSON = [
+    pytest.param("[" * 200_000, "invalid JSON (", id="deep-nesting"),
+    pytest.param('{"n": ' + "9" * 5000 + "}", "invalid JSON (", id="long-number"),
+    pytest.param('["clip", "query"]', "expected a JSON object", id="array"),
+]
+
+
+class TestMalformedJson:
+    """Every JSON input file that does not hold an object ends in a message
+    naming the file, and the line for JSONL, never in a traceback."""
+
+    @pytest.mark.parametrize("reader", ["corpus", "queries", "replay", "config", "index"])
+    @pytest.mark.parametrize("bad, detail", _BAD_JSON)
+    def test_reported_with_file_and_line(self, workspace, tmp_path, capsys, reader, bad, detail):
+        _gen(workspace)
+        _build(workspace)
+        fixture, config = tmp_path / "replay.jsonl", tmp_path / "run.json"
+        fixture.write_text(json.dumps({"query_id": "q", "raw_response": "{}"}) + "\n")
+        config.write_text("{}")
+        index = workspace["index_dir"] / "asr.idx"
+        if reader == "config":
+            config.write_text(bad)
+            code, expected = EXIT_USAGE, f"usage error: config file {config}: {detail}"
+        elif reader == "index":
+            _, _, payload = index.read_bytes().partition(b"\n")
+            index.write_bytes(bad.encode() + b"\n" + payload)
+            code, expected = EXIT_RUNTIME, f"error: {index}: not an index file (bad header)\n"
+        else:
+            path = {"corpus": workspace["corpus"], "queries": workspace["queries"]}.get(reader, fixture)
+            first = path.read_text().splitlines()[0]
+            path.write_text(f"{first}\n{bad}\n")
+            code, expected = EXIT_RUNTIME, f"error: {path}: line 2: {detail}"
+        capsys.readouterr()
+        argv = ["evaluate", "--config", str(config), "--corpus", str(workspace["corpus"])]
+        argv += ["--queries", str(workspace["queries"]), "--index-dir", str(workspace["index_dir"])]
+        argv += ["--methods", "routed:replay", "--replay-fixture", str(fixture)]
+        assert main(argv + ["--out", str(workspace["report"])]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(expected)
+        assert "Traceback" not in captured.err
 
 
 class TestQuery:
@@ -617,6 +660,23 @@ class TestEvaluate:
         assert "routed:rule" in capsys.readouterr().err
         assert not workspace["report"].exists()
 
+    @pytest.mark.parametrize("methods", ["late_fusion_all:bogus", "all_text:zzz"])
+    def test_qualifier_on_an_unqualified_method_is_usage_error(self, workspace, capsys, methods):
+        _gen(workspace)
+        _build(workspace)
+        capsys.readouterr()
+        assert self._evaluate(workspace, methods) == EXIT_USAGE
+        assert f"takes no qualifier, got {methods!r}" in capsys.readouterr().err
+        assert not workspace["report"].exists()
+
+    def test_method_repeated_in_another_case_is_usage_error(self, workspace, capsys):
+        _gen(workspace)
+        _build(workspace)
+        capsys.readouterr()
+        assert self._evaluate(workspace, "routed:rule, ROUTED : RULE") == EXIT_USAGE
+        assert "listed more than once: ROUTED : RULE, routed:rule" in capsys.readouterr().err
+        assert not workspace["report"].exists()
+
     def test_truncated_index_is_runtime_error(self, workspace, capsys):
         _gen(workspace)
         _build(workspace)
@@ -770,6 +830,15 @@ class TestConfigFile:
         (key,) = setting
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and key in err and "finite" in err
+
+    def test_generator_sizes_are_validated_by_every_command(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"n_videos": 0, "clips_per_video": -3}))
+        assert main(["route", "--config", str(config), "hello"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: n_videos must be >= 1, got 0\n"
+        config.write_text(json.dumps({"clips_per_video": -3}))
+        assert main(["route", "--config", str(config), "hello"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: clips_per_video must be >= 1, got -3\n"
 
     def test_nan_rrf_k_flag_is_usage_error(self, tmp_path, capsys):
         argv = ["query", "--index-dir", str(tmp_path), "--fusion", "rrf", "--rrf-k", "nan", "x"]

@@ -65,6 +65,16 @@ class TestParseClipId:
             parse_clip_id(bad)
         assert fragment in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "clip_id",
+        ["v__s0__e" + "9" * 5000, "v__s" + "9" * 5000 + "__e1"],
+        ids=["long-end", "long-start"],
+    )
+    def test_boundary_past_the_int_digit_limit_names_the_id(self, clip_id):
+        with pytest.raises(CorpusError) as excinfo:
+            parse_clip_id(clip_id)
+        assert str(excinfo.value) == f"clip id {clip_id!r} has a boundary too long to read"
+
     def test_round_trip_for_random_refs(self):
         rng = random.Random(7)
         charset = "abcXYZ019-__s__e"

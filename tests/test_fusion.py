@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliproute.corpus import ClipRef, MODALITIES, Modality
+from cliproute.corpus import INDEX_SOURCES, ClipRef, MODALITIES, Modality
 from cliproute.fusion import FusionError, FusionMethod, fuse
 from cliproute.index import RankedList
 
@@ -179,14 +179,15 @@ class TestOracleEquivalence:
 
 @st.composite
 def _fusion_instances(draw):
-    """1-3 lists over a small shared pool, so items overlap and scores tie."""
+    """1-4 lists from distinct index sources over a small shared pool, so
+    items overlap and scores tie."""
     n = draw(st.integers(1, 12))
     pool = [_ref(i) for i in range(draw(st.integers(1, 15)))]
-    modalities = draw(st.permutations(list(MODALITIES)))[: draw(st.integers(1, 3))]
+    sources = draw(st.permutations(list(INDEX_SOURCES)))[: draw(st.integers(1, 4))]
     lists = []
-    for modality in modalities:
+    for source in sources:
         refs = draw(st.lists(st.sampled_from(pool), max_size=min(n, len(pool)), unique=True))
-        lists.append(_ranked(modality, refs))
+        lists.append(_ranked(source, refs))
     return lists, n
 
 

@@ -457,6 +457,15 @@ class TestLlmRouter:
         assert decision.origin is Origin.FALLBACK_ALL
         assert len(session.calls) == 1
 
+    def test_deeply_nested_body_is_a_malformed_response(self):
+        deep = requests.Response()
+        deep.status_code, deep._content = 200, b"[" * 200_000
+        router = make_router(
+            _llm_config(max_retries=1, fallback_on_error=False), session=_FakeSession([deep])
+        )
+        with pytest.raises(RouterError, match="malformed response body: maximum recursion"):
+            router.route(_query("anything"))
+
     def test_requires_endpoint_settings(self, monkeypatch):
         monkeypatch.delenv("CLIPROUTE_LLM_BASE_URL", raising=False)
         monkeypatch.delenv("CLIPROUTE_LLM_MODEL", raising=False)
