@@ -219,14 +219,18 @@ def _require_path(config: RunConfig, name: str, kind: str) -> str:
     return value
 
 
-def _method_name(spec_str: str) -> tuple[str, str]:
-    """A method spec's name and qualifier, as :func:`_parse_method` reads them."""
+def _method_name(spec_str: str, config: RunConfig) -> tuple[str, str]:
+    """A method spec's name and qualifier, as :func:`_parse_method` reads
+    them: a bare ``routed`` names ``config.router``."""
     name, _, qualifier = spec_str.partition(":")
-    return name.strip().lower(), qualifier.strip().lower()
+    name, qualifier = name.strip().lower(), qualifier.strip().lower()
+    if name == "routed" and not qualifier:
+        qualifier = config.router
+    return name, qualifier
 
 
 def _parse_method(spec_str: str, config: RunConfig) -> EvalMethod:
-    name, qualifier = _method_name(spec_str)
+    name, qualifier = _method_name(spec_str, config)
     if name in (MethodKind.LATE_FUSION_ALL, MethodKind.ALL_TEXT):
         if qualifier:
             raise UsageError(f"method {name} takes no qualifier, got {spec_str!r}")
@@ -237,10 +241,9 @@ def _parse_method(spec_str: str, config: RunConfig) -> EvalMethod:
             raise UsageError(f"single method needs a modality, got {spec_str!r}")
         return EvalMethod(kind=MethodKind.SINGLE, modality=modality, label=spec_str)
     if name == "routed":
-        backend = qualifier or config.router
-        if backend not in ROUTER_BACKENDS:
+        if qualifier not in ROUTER_BACKENDS:
             raise UsageError(f"unknown router backend in method {spec_str!r}")
-        router = make_router(config.router_config(backend))
+        router = make_router(config.router_config(qualifier))
         return EvalMethod(kind=MethodKind.ROUTED, router=router, label=spec_str)
     raise UsageError(
         f"unknown evaluation method {spec_str!r}; expected late_fusion_all, "
@@ -347,7 +350,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     index_dir = _require_path(config, "index_dir", "directory")
     if not config.methods:
         raise UsageError("evaluate requires at least one method")
-    names = [_method_name(m) for m in config.methods]
+    names = [_method_name(m, config) for m in config.methods]
     repeated = sorted({m for m, name in zip(config.methods, names) if names.count(name) > 1})
     if repeated:
         raise UsageError(f"evaluation method listed more than once: {', '.join(repeated)}")

@@ -3,9 +3,9 @@
 A router decides which modality indices to search for a query and may
 attach an optimized query string per modality. The backends share the
 ``Router`` protocol: a deterministic keyword rule router, an HTTP
-chat-completion LLM router, a replay router that serves canned LLM
-transcripts from a fixture, and trivial oracle/select-all routers for
-evaluation baselines; ``make_router`` applies single mode to any of them.
+chat-completion LLM router, a replay router that serves an LLM router's
+audit log back, and trivial oracle/select-all routers for evaluation
+baselines; ``make_router`` applies single mode to any of them.
 Whatever the backend does, the resulting decision is always valid; routing
 failures degrade to selecting all three modalities rather than dropping recall.
 """
@@ -279,6 +279,27 @@ def parse_router_response(raw: str, original_query: str) -> RoutingDecision:
     return RoutingDecision(selections=selections, origin=Origin.LLM, raw_response=raw)
 
 
+def decide_from_transcript(
+    query: QueryRecord, raw_response: Optional[str], error: Optional[str], fallback_on_error: bool
+) -> RoutingDecision:
+    """The decision an LLM transcript gives ``query``; ``llm`` and ``replay`` both end here.
+
+    A reply (``raw_response``) is parsed. Without one, ``error`` says why
+    the call failed, or is None when no transcript exists. Then all three
+    modalities are selected, or ``RouterError`` is raised when
+    ``fallback_on_error`` is off. A failed call is logged as a warning.
+    """
+    if raw_response is not None:
+        return parse_router_response(raw_response, query.text)
+    if error is None:
+        error = "no replay entry"
+    else:
+        logger.warning("LLM routing failed for %s: %s", query.query_id, error)
+    if fallback_on_error:
+        return fallback_all_decision(query.text)
+    raise RouterError(f"LLM routing failed for {query.query_id!r}: {error}")
+
+
 def constrain_single(decision: RoutingDecision) -> Modality:
     """Highest-confidence modality of a decision (first selection)."""
     return decision.selections[0][0]
@@ -336,28 +357,36 @@ class _SingleModeRouter:
 
 
 class ReplayRouter:
-    """Serves canned LLM transcripts from a JSONL fixture keyed by query id."""
+    """Serves LLM transcripts back from a JSONL fixture keyed by query id.
+
+    A fixture line is the record ``LlmRouter`` audits, so an audit log is a
+    fixture. ``query_id`` and ``raw_response`` are required, and ``error``
+    is read when the reply is null. A later line for a query id replaces
+    an earlier one.
+    """
 
     def __init__(self, config: RouterConfig) -> None:
         self.config = config
         if not config.replay_path:
             raise RouterError("replay backend requires a replay fixture path")
-        self._responses: dict[str, str] = {}
+        self._transcripts: dict[str, tuple[Optional[str], str]] = {}
         read_jsonl(config.replay_path, self._add, RouterError)
 
     def _add(self, obj: dict) -> None:
         missing = [key for key in ("query_id", "raw_response") if key not in obj]
         if missing:
             raise RouterError(f"missing {', '.join(map(repr, missing))}")
-        self._responses[str(obj["query_id"])] = str(obj["raw_response"])
+        query_id, raw_response = obj["query_id"], obj["raw_response"]
+        if not isinstance(query_id, str):
+            raise RouterError(f"'query_id' must be a string, got {query_id!r}")
+        if raw_response is not None and not isinstance(raw_response, str):
+            raise RouterError(f"'raw_response' must be a string or null, got {raw_response!r}")
+        error = str(obj.get("error") or "no reply recorded")
+        self._transcripts[query_id] = (raw_response, error)
 
     def route(self, query: QueryRecord) -> RoutingDecision:
-        raw = self._responses.get(query.query_id)
-        if raw is None:
-            if self.config.fallback_on_error:
-                return fallback_all_decision(query.text)
-            raise RouterError(f"no replay entry for query {query.query_id!r}")
-        return parse_router_response(raw, query.text)
+        raw_response, error = self._transcripts.get(query.query_id, (None, None))
+        return decide_from_transcript(query, raw_response, error, self.config.fallback_on_error)
 
 
 _RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
@@ -397,17 +426,21 @@ class LlmRouter:
             headers["Authorization"] = f"Bearer {api_key}"
         return headers
 
-    def _audit(self, query: QueryRecord, body: dict, response: Optional[str], error: Optional[str]) -> None:
+    def _audit(
+        self, query: QueryRecord, body: dict, raw_response: Optional[str], error: Optional[str]
+    ) -> None:
         if not self.config.audit_path:
             return
         entry = {
             "query_id": query.query_id,
             "request": body,
-            "response": response,
+            "raw_response": raw_response,
             "error": error,
         }
+        # ASCII escapes keep a line writable for any text, lone surrogates
+        # from undecodable argv bytes included, and it reads back the same.
         with Path(self.config.audit_path).open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, ensure_ascii=False) + "\n")
+            handle.write(json.dumps(entry) + "\n")
 
     def route(self, query: QueryRecord) -> RoutingDecision:
         import requests
@@ -420,7 +453,7 @@ class LlmRouter:
                 {"role": "user", "content": query.text},
             ],
         }
-        last_error = "no attempt made"
+        raw_response, error = None, "no attempt made"
         for attempt in range(max(1, self.config.max_retries)):
             if attempt:
                 self._sleep(_BACKOFF_S * 2 ** (attempt - 1))
@@ -429,27 +462,23 @@ class LlmRouter:
                     url, json=body, headers=self._headers(), timeout=self.config.timeout_s
                 )
             except requests.RequestException as exc:
-                last_error = f"request failed: {exc}"
+                error = f"request failed: {exc}"
                 continue
             if response.status_code in _RETRYABLE_STATUSES:
-                last_error = f"retryable status {response.status_code}"
+                error = f"retryable status {response.status_code}"
                 continue
             if response.status_code != 200:
-                last_error = f"status {response.status_code}"
+                error = f"status {response.status_code}"
                 break
             try:
                 content = response.json()["choices"][0]["message"]["content"]
             except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
-                last_error = f"malformed response body: {exc}"
+                error = f"malformed response body: {exc}"
                 continue
-            self._audit(query, body, str(content), None)
-            return parse_router_response(str(content), query.text)
-
-        logger.warning("LLM routing failed for %s: %s", query.query_id, last_error)
-        self._audit(query, body, None, last_error)
-        if self.config.fallback_on_error:
-            return fallback_all_decision(query.text)
-        raise RouterError(f"LLM routing failed for {query.query_id!r}: {last_error}")
+            raw_response, error = str(content), None
+            break
+        self._audit(query, body, raw_response, error)
+        return decide_from_transcript(query, raw_response, error, self.config.fallback_on_error)
 
 
 ROUTER_BACKENDS = ("rule", "llm", "replay", "oracle", "all")

@@ -38,7 +38,7 @@ from .corpus import (
     Modality,
     QueryRecord,
 )
-from .embed import DEFAULT_DIM, token_bucket
+from .embed import DEFAULT_DIM, _word_buckets, token_bucket
 from .router import ALL_CUE_WORDS
 
 CLIP_SECONDS = 10
@@ -79,13 +79,6 @@ _MINT_ATTEMPTS = 200
 _LONG_TOKEN_LETTERS = 5
 
 
-def _word_buckets(word: str, dim: int) -> set[int]:
-    buckets = {token_bucket(word, dim)}
-    for i in range(len(word) - 2):
-        buckets.add(token_bucket(word[i : i + 3], dim))
-    return buckets
-
-
 class _TokenMint:
     """Deterministic supply of 3-letter tokens with disjoint hash buckets,
     then of 5-letter tokens once a 3-letter draw fails."""
@@ -97,7 +90,7 @@ class _TokenMint:
         self._used_words: set[str] = set(_TEMPLATE_WORDS) | set(ALL_CUE_WORDS)
         self._used_buckets: set[int] = set()
         for word in _TEMPLATE_WORDS:
-            self._used_buckets |= _word_buckets(word, dim)
+            self._used_buckets.update(_word_buckets(dim, word))
 
     def next_token(self) -> str:
         # Past ~90% bucket load disjoint minting cannot finish; fall back to

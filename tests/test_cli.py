@@ -253,8 +253,20 @@ class TestRoute:
             ('["cli", "{}"]', "expected a JSON object"),
             ('{"raw_response": "{}"}', "missing 'query_id'"),
             ('{"query_id": "cli"}', "missing 'raw_response'"),
+            ('{"query_id": 5, "raw_response": "{}"}', "'query_id' must be a string, got 5"),
+            (
+                '{"query_id": "cli", "raw_response": 5}',
+                "'raw_response' must be a string or null, got 5",
+            ),
         ],
-        ids=["not-json", "not-an-object", "no-query-id", "no-raw-response"],
+        ids=[
+            "not-json",
+            "not-an-object",
+            "no-query-id",
+            "no-raw-response",
+            "int-query-id",
+            "int-raw-response",
+        ],
     )
     def test_malformed_replay_fixture_is_runtime_error(self, tmp_path, capsys, line, message):
         fixture = tmp_path / "replay.jsonl"
@@ -676,6 +688,17 @@ class TestEvaluate:
         assert self._evaluate(workspace, "routed:rule, ROUTED : RULE") == EXIT_USAGE
         assert "listed more than once: ROUTED : RULE, routed:rule" in capsys.readouterr().err
         assert not workspace["report"].exists()
+
+    def test_bare_routed_repeats_the_configured_router(self, workspace, capsys):
+        _gen(workspace)
+        _build(workspace)
+        capsys.readouterr()
+        assert self._evaluate(workspace, "routed,routed:rule") == EXIT_USAGE
+        assert "listed more than once: routed, routed:rule" in capsys.readouterr().err
+        assert not workspace["report"].exists()
+        assert self._evaluate(workspace, "routed,routed:oracle") == EXIT_OK
+        reports = json.loads(workspace["report"].read_text())["reports"]
+        assert [r["method"] for r in reports] == ["routed", "routed:oracle"]
 
     def test_truncated_index_is_runtime_error(self, workspace, capsys):
         _gen(workspace)

@@ -9,7 +9,8 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliproute.corpus import ClipRef, MODALITIES, Modality, QueryRecord
+from cliproute.cli import EXIT_OK, EXIT_RUNTIME, main
+from cliproute.corpus import ClipRef, MODALITIES, Modality, QueryRecord, read_jsonl
 from cliproute.router import (
     Origin,
     RouterConfig,
@@ -499,7 +500,7 @@ class TestLlmRouter:
         router.route(_query("who says", query_id="bad"))
         lines = [json.loads(line) for line in audit.read_text().splitlines()]
         assert [entry["query_id"] for entry in lines] == ["good", "bad"]
-        assert lines[0]["response"] == '{"asr": "x"}'
+        assert lines[0]["raw_response"] == '{"asr": "x"}'
         assert lines[1]["error"]
         assert "sekrit" not in audit.read_text()
 
@@ -511,6 +512,111 @@ class TestLlmRouter:
         decision = router.route(_query("read the sign"))
         assert decision.modalities == [Modality.OCR]
 
+
+
+# One live outcome per case: the replies the fake endpoint gives to one query.
+_TRANSCRIPT_CASES = {
+    "json": [_FakeResponse(payload=_chat_payload('{"ocr": "sign text", "asr": "said"}'))],
+    "prose": [_FakeResponse(payload=_chat_payload('Route it so: {"visuals": "red car"}. Done.'))],
+    "garbage": [_FakeResponse(payload=_chat_payload("no idea, sorry"))],
+    "500s": [_FakeResponse(status_code=500)] * 3,
+    "401": [_FakeResponse(status_code=401)],
+}
+
+
+def _outcome(router, query):
+    """What routing ``query`` ends in: the decision's fields, or the error."""
+    try:
+        decision = router.route(query)
+    except RouterError as exc:
+        return ("RouterError", str(exc))
+    return (decision.selections, decision.origin, decision.raw_response)
+
+
+class TestTranscriptRoundTrip:
+    """The audit log an ``llm`` router writes is a ``replay`` fixture that
+    gives back every decision, and every error, of the live run."""
+
+    @pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no-fallback"])
+    def test_replaying_an_audit_log_repeats_the_live_run(self, tmp_path, fallback):
+        audit = tmp_path / "audit.jsonl"
+        settings = dict(audit_path=str(audit), fallback_on_error=fallback)
+        session = _FakeSession(sum(_TRANSCRIPT_CASES.values(), []))
+        live = make_router(_llm_config(**settings), session=session)
+        live._sleep = lambda _: None
+        queries = [_query("what does the sign say", query_id=case) for case in _TRANSCRIPT_CASES]
+        live_outcomes = [_outcome(live, q) for q in queries]
+        replay = make_router(RouterConfig(backend="replay", replay_path=str(audit), **settings))
+        assert [_outcome(replay, q) for q in queries] == live_outcomes
+        raised = [q.query_id for q, o in zip(queries, live_outcomes) if o[0] == "RouterError"]
+        assert raised == ([] if fallback else ["500s", "401"])
+        origins = [o[1] for o in live_outcomes if o[0] != "RouterError"]
+        assert origins == [Origin.LLM, Origin.LLM] + [Origin.FALLBACK_ALL] * (3 if fallback else 1)
+
+    @pytest.mark.parametrize("fallback", [True, False], ids=["fallback", "no-fallback"])
+    @pytest.mark.parametrize("case", list(_TRANSCRIPT_CASES))
+    def test_route_replays_the_live_decision(self, tmp_path, capsys, case, fallback):
+        audit = tmp_path / "audit.jsonl"
+        live = make_router(
+            _llm_config(audit_path=str(audit), fallback_on_error=fallback),
+            session=_FakeSession(_TRANSCRIPT_CASES[case]),
+        )
+        live._sleep = lambda _: None
+        text = "what does the sign say"
+        outcome = _outcome(live, _query(text, query_id="cli"))
+        flag = "--fallback-on-error" if fallback else "--no-fallback-on-error"
+        code = main(["route", "--router", "replay", "--replay-fixture", str(audit), flag, text])
+        captured = capsys.readouterr()
+        if outcome[0] == "RouterError":
+            assert code == EXIT_RUNTIME
+            assert captured.err == f"error: {outcome[1]}\n"
+            return
+        selections, origin, _ = outcome
+        wire = json.dumps({m.wire: q for m, q in selections}, ensure_ascii=False)
+        assert code == EXIT_OK
+        assert captured.out == f"{wire}\norigin: {origin.value}\n"
+
+    @pytest.mark.parametrize("case", ["json", "401"])
+    def test_an_audit_line_is_written_for_any_query_text(self, tmp_path, case):
+        audit = tmp_path / "audit.jsonl"
+        router = make_router(
+            _llm_config(audit_path=str(audit)), session=_FakeSession(_TRANSCRIPT_CASES[case])
+        )
+        text = "who says \udcff caf\u00e9"  # \udcff: how argv decodes a stray 0xff byte
+        router.route(_query(text, query_id="q\udcff"))
+        lines = []
+        read_jsonl(audit, lines.append)
+        assert [line["query_id"] for line in lines] == ["q\udcff"]
+        assert lines[0]["request"]["messages"][1]["content"] == text
+
+
+class TestReplayTranscripts:
+    def _fixture(self, tmp_path, *rows):
+        path = tmp_path / "replay.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return str(path)
+
+    def test_a_failed_call_replays_as_it_ended(self, tmp_path):
+        path = self._fixture(
+            tmp_path, {"query_id": "q1", "raw_response": None, "error": "status 401"}
+        )
+        fallback = make_router(RouterConfig(backend="replay", replay_path=path))
+        assert fallback.route(_query("x")).origin is Origin.FALLBACK_ALL
+        strict = make_router(
+            RouterConfig(backend="replay", replay_path=path, fallback_on_error=False)
+        )
+        with pytest.raises(RouterError, match="LLM routing failed for 'q1': status 401"):
+            strict.route(_query("x"))
+
+    def test_the_last_line_for_a_query_id_wins(self, tmp_path):
+        path = self._fixture(
+            tmp_path,
+            {"query_id": "q1", "raw_response": '{"asr": "old"}'},
+            {"query_id": "q2", "raw_response": '{"visuals": "other"}'},
+            {"query_id": "q1", "raw_response": '{"ocr": "new"}'},
+        )
+        decision = make_router(RouterConfig(backend="replay", replay_path=path)).route(_query("x"))
+        assert decision.selections == [(Modality.OCR, "new")]
 
 
 def _replay_fixture(tmp_path):
