@@ -13,7 +13,10 @@ import csv
 import json
 import logging
 import math
+import os
+import shutil
 import sys
+import tempfile
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -115,10 +118,7 @@ class RunConfig:
             raise UsageError(f"clips_per_video must be >= 1, got {self.clips_per_video}")
         if self.llm_max_retries < 1:
             raise UsageError(f"llm_max_retries must be >= 1, got {self.llm_max_retries}")
-        if self.router not in ROUTER_BACKENDS:
-            raise UsageError(
-                f"router must be one of {ROUTER_BACKENDS}, got {self.router!r}"
-            )
+        _check_router(self, self.router)
         _check_choice("router_mode", self.router_mode, _ROUTER_MODES)
         if self.dim < 8:
             raise UsageError(f"dim must be >= 8, got {self.dim}")
@@ -128,10 +128,15 @@ class RunConfig:
             raise UsageError(
                 f"unknown embedder {self.embedder!r}; registered: {registered_embedders()}"
             )
-        if self.replay_fixture and not Path(self.replay_fixture).is_file():
-            raise UsageError(f"replay fixture does not exist: {self.replay_fixture}")
-        if self.router == "replay" and not self.replay_fixture:
-            raise UsageError("replay router requires replay_fixture")
+        if self.replay_fixture:
+            _require_path(self, "replay_fixture", "file")
+        if self.audit_log:
+            # Checked here, as the audit log is first written after an LLM call.
+            audit = Path(self.audit_log)
+            if audit.is_dir():
+                raise UsageError(f"audit_log path is a directory: {self.audit_log}")
+            if not audit.parent.is_dir():
+                raise UsageError(f"audit_log directory does not exist: {self.audit_log}")
 
     def embedder_spec(self) -> EmbedderSpec:
         if self.embedder == REFERENCE_EMBEDDER:
@@ -150,6 +155,15 @@ class RunConfig:
             replay_path=self.replay_fixture,
             audit_path=self.audit_log,
         )
+
+
+def _check_router(config: RunConfig, backend: str) -> None:
+    """Reject a router backend ``config`` cannot make: the configured router
+    and every ``routed:<backend>`` method are checked here."""
+    if backend not in ROUTER_BACKENDS:
+        raise UsageError(f"unknown router backend {backend!r}; expected one of {ROUTER_BACKENDS}")
+    if backend == "replay" and not config.replay_fixture:
+        raise UsageError("replay router requires replay_fixture")
 
 
 def _check_choice(key: str, value: str, choices: list[str]) -> None:
@@ -241,8 +255,7 @@ def _parse_method(spec_str: str, config: RunConfig) -> EvalMethod:
             raise UsageError(f"single method needs a modality, got {spec_str!r}")
         return EvalMethod(kind=MethodKind.SINGLE, modality=modality, label=spec_str)
     if name == "routed":
-        if qualifier not in ROUTER_BACKENDS:
-            raise UsageError(f"unknown router backend in method {spec_str!r}")
+        _check_router(config, qualifier)
         router = make_router(config.router_config(qualifier))
         return EvalMethod(kind=MethodKind.ROUTED, router=router, label=spec_str)
     raise UsageError(
@@ -296,18 +309,31 @@ def cmd_build_index(config: RunConfig) -> int:
     index_dir = Path(_require(config, "index_dir"))
     corpus = load_corpus(corpus_path)
     spec = config.embedder_spec()
-    built = [build_index(corpus, modality, spec) for modality in MODALITIES]
+    builds = [lambda m=modality: build_index(corpus, m, spec) for modality in MODALITIES]
     if config.build_fused:
-        built.append(build_fused_index(corpus, spec))
-    index_dir.mkdir(parents=True, exist_ok=True)
-    for index in built:
-        path = _index_path(index_dir, index.source)
-        save_index(index, path)
-        stats = index.build_stats
+        builds.append(lambda: build_fused_index(corpus, spec))
+    # Each index is saved into a staging directory beside index_dir before
+    # the next is built. Only the finished set replaces index_dir's files,
+    # so a failed build leaves index_dir as it was.
+    index_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{index_dir.name}.", dir=index_dir.parent))
+    try:
+        built = []
+        for build in builds:
+            index = build()
+            save_index(index, _index_path(staging, index.source))
+            built.append((index.source, index.build_stats))
+            del index  # the next build runs with no index held
+        index_dir.mkdir(exist_ok=True)
+        for source, _ in built:
+            os.replace(_index_path(staging, source), _index_path(index_dir, source))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    for source, stats in built:
         flag = " (EMPTY)" if stats.empty else ""
         print(
-            f"{index.source}: indexed={stats.indexed} skipped={stats.skipped}"
-            f" -> {path}{flag}"
+            f"{source}: indexed={stats.indexed} skipped={stats.skipped}"
+            f" -> {_index_path(index_dir, source)}{flag}"
         )
     return EXIT_OK
 

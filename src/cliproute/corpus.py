@@ -69,7 +69,7 @@ def normalize_text(s: str) -> str:
     return _WORD_BREAK_RE.sub(" ", s.lower()).strip()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClipRef:
     """Identity and temporal extent of one video clip.
 
@@ -160,7 +160,7 @@ def parse_clip_id(s: str) -> ClipRef:
     return ClipRef(video_id=video_id, start_s=start, end_s=end)
 
 
-@dataclass
+@dataclass(slots=True)
 class ClipRecord:
     """One indexed clip with its per-modality texts.
 
@@ -201,7 +201,7 @@ class ClipRecord:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryRecord:
     """A retrieval query with its gold clip and optional source annotation."""
 

@@ -15,9 +15,11 @@ positive score, equal scores in row order, which is clip-id order. The
 versioned, checksummed file holds those postings as whole columns, each
 read back with one ``np.frombuffer`` and copied out of the file's bytes:
 a load derives nothing, files round-trip bit-exactly, and damaged or
-out-of-order files are rejected. An index keeps its clips as columns too
-(video ids, each row's video number, start and end) and makes a
-:class:`ClipRef` only for the rows a search returns.
+out-of-order files are rejected. A save writes the columns one after
+another, never joined into one copy. An index keeps the rows in the
+file's u32, built or loaded, and its clips as columns too (video ids,
+each row's video number, start and end), and makes a :class:`ClipRef`
+only for the rows a search returns.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ class ModalityIndex:
     use; rows run in strictly ascending clip-id order. Bucket ``b`` holds
     ``post_weights[post_ptr[b]:post_ptr[b + 1]]`` in the strictly increasing
     rows ``post_rows[post_ptr[b]:post_ptr[b + 1]]``, each row in some bucket.
+    Rows are u32, the file's width, whether the index was built or loaded.
     """
 
     source: str
@@ -78,7 +81,7 @@ class ModalityIndex:
     start_s: np.ndarray  # (count,) uint32 clip starts
     end_s: np.ndarray  # (count,) uint32 clip ends
     post_ptr: np.ndarray  # (dim + 1,) int64 bucket offsets
-    post_rows: np.ndarray  # (nnz,) intp rows, ascending within a bucket
+    post_rows: np.ndarray  # (nnz,) uint32 rows, ascending within a bucket
     post_weights: np.ndarray  # (nnz,) float64 values
     build_stats: BuildStats
 
@@ -215,7 +218,7 @@ def _build_for_source(corpus: Corpus, source: str, spec: EmbedderSpec) -> Modali
     order = np.argsort(buckets.astype(np.min_scalar_type(spec.dim - 1)), kind="stable")
     post_ptr = np.zeros(spec.dim + 1, dtype=np.int64)
     np.cumsum(np.bincount(buckets, minlength=spec.dim), out=post_ptr[1:])
-    entry_rows = np.repeat(np.arange(len(starts)), np.concatenate(row_nnz))
+    entry_rows = np.repeat(np.arange(len(starts), dtype=np.uint32), np.concatenate(row_nnz))
     return ModalityIndex(
         source=source,
         embedder=spec,
@@ -273,10 +276,12 @@ def _header_line(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
 
 
-def _digest(header: dict, payload: bytes) -> str:
-    """sha256 of the header line without its digest field, then the payload."""
+def _digest(header: dict, payload: list) -> str:
+    """sha256 of the header line without its digest field, then the payload's
+    buffers in order."""
     digest = hashlib.sha256(_header_line(header))
-    digest.update(payload)
+    for chunk in payload:
+        digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -289,21 +294,21 @@ def save_index(index: ModalityIndex, path: str | Path) -> None:
     video number, start_s and end_s; per bucket, its u32 posting count;
     then the postings bucket after bucket: all u32 rows and all float64
     weights. The header's ``sha256`` covers the rest of the header and the
-    payload. Writing the same index twice produces identical bytes.
+    payload. Writing the same index twice produces identical bytes. The
+    columns go to the digest and then to the file one after another, never
+    joined into one copy; a column the index holds in its file type is not
+    copied at all.
     """
     video_ids = [video.encode("utf-8") for video in index.video_ids]
-    payload = b"".join(
-        [
-            np.array([len(video) for video in video_ids], dtype="<u4"),
-            *video_ids,
-            index.video_numbers.astype("<u4"),
-            index.start_s.astype("<u4"),
-            index.end_s.astype("<u4"),
-            np.diff(index.post_ptr).astype("<u4"),
-            index.post_rows.astype("<u4"),
-            index.post_weights.astype("<f8"),
-        ]
+    u32_columns = (
+        index.video_numbers, index.start_s, index.end_s, np.diff(index.post_ptr), index.post_rows
     )
+    payload = [
+        np.array([len(video) for video in video_ids], dtype="<u4"),
+        b"".join(video_ids),
+        *[np.ascontiguousarray(column, "<u4") for column in u32_columns],
+        np.ascontiguousarray(index.post_weights, "<f8"),
+    ]
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -318,7 +323,8 @@ def save_index(index: ModalityIndex, path: str | Path) -> None:
     header["sha256"] = _digest(header, payload)
     with Path(path).open("wb") as handle:
         handle.write(_header_line(header))
-        handle.write(payload)
+        for chunk in payload:
+            handle.write(chunk)
 
 
 def load_index(path: str | Path) -> ModalityIndex:
@@ -359,7 +365,7 @@ def _decode(data: bytes) -> ModalityIndex:
         raise IndexingError(f"bad header: {exc!r}") from None
     if min(count, videos, nnz) < 0:
         raise IndexingError("bad header: negative count, videos or nnz")
-    if digest != _digest(header, payload):
+    if digest != _digest(header, [payload]):
         raise IndexingError("sha256 mismatch: the file is damaged or truncated")
     if source not in INDEX_SOURCES:
         raise IndexingError(f"unknown source {source!r}")
@@ -381,7 +387,7 @@ def _decode(data: bytes) -> ModalityIndex:
     starts = column("start", "<u4", count).astype(np.uint32)
     ends = column("end", "<u4", count).astype(np.uint32)
     counts = column("bucket count", "<u4", dim)
-    rows = column("row", "<u4", nnz).astype(np.intp)
+    rows = column("row", "<u4", nnz).astype(np.uint32)
     weights = column("weight", "<f8", nnz).astype(np.float64)
     if offset != len(payload):
         raise IndexingError(f"{len(payload) - offset} bytes trail the last column")
@@ -403,9 +409,10 @@ def _decode(data: bytes) -> ModalityIndex:
         raise IndexingError("the video id table repeats an id")
     _check_rows(numbers >= videos, "has a video number past the video ids")
     _check_rows(ends <= starts, "does not end after it starts")
-    steps = np.diff(rows)
-    steps[post_ptr[:-1][counts > 0][1:] - 1] = 1  # a bucket may start below the last one's end
-    if np.any(steps <= 0) or np.any(rows >= count):
+    # Neighbours are compared, not differenced: a u32 difference wraps.
+    falls = rows[1:] <= rows[:-1]
+    falls[post_ptr[:-1][counts > 0][1:] - 1] = False  # a bucket may start below the last one's end
+    if np.any(falls) or np.any(rows >= count):
         raise IndexingError(f"rows must increase within a bucket and stay below {count}")
     _check_rows(np.bincount(rows, minlength=count) == 0, "has no nonzero entries")
     if not np.all(np.isfinite(weights)) or np.any(weights == 0):

@@ -8,13 +8,15 @@ import re
 import struct
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from conftest import edit_video_table, resign
 
-from cliproute import embed
+from cliproute import cli, embed
+from cliproute import index as index_mod
 from cliproute.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _build_parser, main
 from cliproute.corpus import load_corpus, load_queries, normalize_text
 from cliproute.embed import MAX_DIM
@@ -212,6 +214,74 @@ class TestBuildIndex:
         assert code == EXIT_RUNTIME
         assert not workspace["index_dir"].exists()
 
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing-dir", "no-dir"])
+    @pytest.mark.parametrize("failure", ["save", "build"])
+    def test_a_failed_build_leaves_the_index_dir_as_it_was(
+        self, workspace, tmp_path, capsys, monkeypatch, failure, existing
+    ):
+        if existing:
+            # Files of another corpus, which a partial build would replace.
+            _gen(workspace, seed=2)
+            assert _build(workspace) == EXIT_OK
+            (workspace["index_dir"] / "notes.txt").write_text("not an index")
+        _gen(workspace, seed=1)
+        if failure == "save":
+            saved = []
+
+            def save_index(index, path):
+                saved.append(index.source)
+                if len(saved) == 3:
+                    raise OSError(28, "No space left on device")
+                index_mod.save_index(index, path)
+
+            monkeypatch.setattr(cli, "save_index", save_index)
+            message = "error: [Errno 28] No space left on device\n"
+        else:
+            # Only the third index, visuals, holds a clip past its u32 times.
+            late = f"late__s{2**32}__e{2**32 + 10}"
+            with workspace["corpus"].open("a") as handle:
+                handle.write(json.dumps({"clip_id": late, "visual": "a very late scene"}) + "\n")
+            message = f"error: clip {late}: times above {2**32 - 1} s do not fit the index\n"
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert _build(workspace) == EXIT_RUNTIME
+        assert capsys.readouterr() == ("", message)
+        assert _tree(tmp_path) == before
+        assert workspace["index_dir"].exists() is existing
+
+    def test_holds_one_index_at_a_time(self, workspace, monkeypatch):
+        _gen(workspace)
+        calls, built = [], []
+
+        def build(function):
+            def call(*args):
+                assert [ref() for ref in built] == [None] * len(built), "an earlier index is alive"
+                index = function(*args)
+                built.append(weakref.ref(index))
+                calls.append(("build", index.source))
+                return index
+
+            return call
+
+        def save_index(index, path):
+            index_mod.save_index(index, path)
+            calls.append(("save", index.source))
+
+        monkeypatch.setattr(cli, "build_index", build(index_mod.build_index))
+        monkeypatch.setattr(cli, "build_fused_index", build(index_mod.build_fused_index))
+        monkeypatch.setattr(cli, "save_index", save_index)
+        assert _build(workspace) == EXIT_OK
+        sources = ("asr", "ocr", "visuals", "fused")
+        assert calls == [(step, source) for source in sources for step in ("build", "save")]
+
+
+def _tree(root):
+    """Each path under ``root``, with its bytes if it is a file."""
+    return {
+        str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+        for path in sorted(root.rglob("*"))
+    }
+
 
 class TestRoute:
     def test_rule_backend_emits_wire_decision_and_origin(self, capsys):
@@ -300,6 +370,52 @@ class TestRoute:
             ]
         )
         assert code == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("command", ["route", "evaluate"])
+    def test_replay_without_a_fixture_is_one_usage_error(self, workspace, capsys, command):
+        if command == "route":
+            argv = ["route", "--router", "replay", "x"]
+        else:
+            _gen(workspace)
+            _build(workspace)
+            argv = ["evaluate", "--corpus", str(workspace["corpus"])]
+            argv += ["--queries", str(workspace["queries"])]
+            argv += ["--index-dir", str(workspace["index_dir"]), "--methods", "routed:replay"]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "usage error: replay router requires replay_fixture\n")
+
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_replay_fixture_that_is_not_a_file_is_usage_error(self, tmp_path, capsys, kind):
+        fixture = tmp_path if kind == "directory" else tmp_path / "absent.jsonl"
+        problem = "is not a file" if kind == "directory" else "does not exist"
+        argv = ["route", "--router", "replay", "--replay-fixture", str(fixture), "x"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: replay_fixture path {problem}: {fixture}\n"
+
+    @pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+    def test_unwritable_audit_log_is_usage_error_before_any_call(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
+        import requests
+
+        posts = []
+
+        def post(session, *args, **kwargs):
+            posts.append(args)
+            raise requests.ConnectionError("refused")
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        if kind == "directory":
+            audit, message = tmp_path, f"audit_log path is a directory: {tmp_path}"
+        else:
+            audit = tmp_path / "absent" / "audit.jsonl"
+            message = f"audit_log directory does not exist: {audit}"
+        argv = ["route", "--router", "llm", "--llm-base-url", "http://127.0.0.1:1"]
+        argv += ["--llm-model", "m", "--audit-log", str(audit), "who says hello"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+        assert posts == []
 
 
 class TestNonUtf8Input:

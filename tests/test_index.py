@@ -726,6 +726,14 @@ def _repeat_a_row_within_a_bucket(counts, rows, weights):
     return counts, rows, weights
 
 
+def _swap_rows_within_a_bucket(counts, rows, weights):
+    """The postings with the two rows of the first two-row bucket in falling order."""
+    start = int(counts[: np.flatnonzero(counts == 2)[0]].sum())
+    rows = rows.copy()
+    rows[start : start + 2] = rows[start + 1], rows[start]
+    return counts, rows, weights
+
+
 def _set_row(position, value):
     def corrupt(header, payload):
         at = _offsets(header, payload)["row"] + 4 * (position % header["nnz"])
@@ -906,6 +914,7 @@ class TestSerialization:
             (_set_row(0, 2), "increase within a bucket and stay below 2"),
             (_set_row(-1, 2), "increase within a bucket and stay below 2"),
             (_with_postings(_repeat_a_row_within_a_bucket), "increase within a bucket"),
+            (_with_postings(_swap_rows_within_a_bucket), "increase within a bucket"),
             (_nan_weight, "finite"),
             (_zero_weight, "nonzero"),
             (edit_video_table(lambda ids, n: ([b"", *ids[1:]], n)), "video id 0 is empty"),
@@ -986,7 +995,7 @@ class TestSerialization:
         order = np.argsort(buckets, kind="stable")
         ptr = np.concatenate([[0], np.cumsum(np.bincount(buckets, minlength=dim))])
         for built in (index, loaded):
-            assert (built.post_ptr.dtype, built.post_rows.dtype) == (np.int64, np.intp)
+            assert (built.post_ptr.dtype, built.post_rows.dtype) == (np.int64, np.uint32)
             assert np.array_equal(built.post_ptr, ptr)
             assert np.array_equal(built.post_rows, rows[order])
             assert built.post_weights.tobytes() == weights[order].tobytes()
