@@ -137,6 +137,13 @@ class RunConfig:
                 raise UsageError(f"audit_log path is a directory: {self.audit_log}")
             if not audit.parent.is_dir():
                 raise UsageError(f"audit_log directory does not exist: {self.audit_log}")
+        # Checked here, as evaluate writes its reports after every method has run.
+        for key in ("out", "csv_out"):
+            value = getattr(self, key)
+            if value and Path(value).is_dir():
+                raise UsageError(f"{key} path is a directory: {value}")
+        if self.out and self.csv_out and Path(self.out).resolve() == Path(self.csv_out).resolve():
+            raise UsageError(f"out and csv_out name the same path: {self.out}")
 
     def embedder_spec(self) -> EmbedderSpec:
         if self.embedder == REFERENCE_EMBEDDER:
@@ -307,6 +314,8 @@ def cmd_gen_corpus(config: RunConfig) -> int:
 def cmd_build_index(config: RunConfig) -> int:
     corpus_path = _require_path(config, "corpus", "file")
     index_dir = Path(_require(config, "index_dir"))
+    if index_dir.exists():  # a missing index_dir is made
+        _require_path(config, "index_dir", "directory")
     corpus = load_corpus(corpus_path)
     spec = config.embedder_spec()
     builds = [lambda m=modality: build_index(corpus, m, spec) for modality in MODALITIES]
@@ -371,7 +380,6 @@ def cmd_query(config: RunConfig, query_text: str) -> int:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    corpus_path = _require_path(config, "corpus", "file")
     queries_path = _require_path(config, "queries", "file")
     index_dir = _require_path(config, "index_dir", "directory")
     if not config.methods:
@@ -382,17 +390,19 @@ def cmd_evaluate(config: RunConfig) -> int:
         raise UsageError(f"evaluation method listed more than once: {', '.join(repeated)}")
     methods = [_parse_method(m, config) for m in config.methods]
 
-    corpus = load_corpus(corpus_path)
     queries = load_queries(queries_path)
     sources = [m.wire for m in MODALITIES]
     if any(m.kind is MethodKind.ALL_TEXT for m in methods):
         sources.append(FUSED_SOURCE)
     indices = _load_indices(index_dir, sources)
+    # No corpus is read: a gold must be a clip of some loaded index.
+    golds = {q.gold for q in queries}
+    golds = {gold for gold in golds if any(gold in index for index in indices.values())}
 
     reports = []
     for method in methods:
         report = run_evaluation(
-            corpus,
+            golds,
             queries,
             method,
             indices,
@@ -498,7 +508,6 @@ def _build_parser() -> _Parser:
     query_p.add_argument("text", help="query text")
 
     eval_p = command("evaluate", "run the evaluation suite", router=True, retrieval=True)
-    eval_p.add_argument("--corpus")
     eval_p.add_argument("--queries")
     eval_p.add_argument(
         "--methods",

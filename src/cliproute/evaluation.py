@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Container, Mapping, Optional, Sequence
 
-from .corpus import FUSED_SOURCE, Corpus, ClipRef, MODALITIES, Modality, QueryRecord
+from .corpus import FUSED_SOURCE, ClipRef, MODALITIES, Modality, QueryRecord
 from .embed import embed_text, is_zero
 from .fusion import FusionMethod, DEFAULT_RRF_K, FusedItem, fuse
 from .index import DEFAULT_DEPTH, ModalityIndex, search
@@ -330,7 +330,7 @@ def _gold_rank_and_gains(
 
 
 def run_evaluation(
-    corpus: Corpus,
+    clips: Container[ClipRef],
     queries: Sequence[QueryRecord],
     method: EvalMethod,
     indices: Mapping[str, ModalityIndex],
@@ -342,16 +342,18 @@ def run_evaluation(
 ) -> EvalReport:
     """Evaluate one method over a query set.
 
+    A query whose gold is not in ``clips`` raises :class:`EvalError`;
+    ``cliproute evaluate`` passes the golds that some loaded index holds.
     Queries are processed in query-id order so aggregation is a stable,
     reproducible reduction. Unembeddable queries score as total misses and
     are counted in the report.
     """
     ordered = sorted(queries, key=lambda q: q.query_id)
     for query in ordered:
-        if query.gold not in corpus:
+        if query.gold not in clips:
             raise EvalError(
                 f"query {query.query_id!r} gold clip {query.gold.clip_id!r} "
-                "is not in the corpus"
+                "is not a clip of any loaded index"
             )
 
     outcomes = [

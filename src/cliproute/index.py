@@ -28,6 +28,7 @@ import hashlib
 import json
 import math
 import re
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import compress
 from pathlib import Path
@@ -72,6 +73,8 @@ class ModalityIndex:
     ``post_weights[post_ptr[b]:post_ptr[b + 1]]`` in the strictly increasing
     rows ``post_rows[post_ptr[b]:post_ptr[b + 1]]``, each row in some bucket.
     Rows are u32, the file's width, whether the index was built or loaded.
+    ``ref in index`` asks whether a row is that clip: a binary search by clip
+    id, which makes and keeps no ClipRef.
     """
 
     source: str
@@ -99,6 +102,14 @@ class ModalityIndex:
             video = self.video_ids[self.video_numbers[row]]
             ref = self._refs[row] = ClipRef(video, int(self.start_s[row]), int(self.end_s[row]))
         return ref
+
+    def __contains__(self, ref: ClipRef) -> bool:
+        def clip_id(row: int) -> str:  # the id ClipRef.clip_id writes
+            video = self.video_ids[self.video_numbers[row]]
+            return f"{video}__s{int(self.start_s[row])}__e{int(self.end_s[row])}"
+
+        row = bisect_left(range(len(self)), ref.clip_id, key=clip_id)
+        return row < len(self) and clip_id(row) == ref.clip_id
 
 
 @dataclass

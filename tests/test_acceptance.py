@@ -144,7 +144,6 @@ def e2e(tmp_path_factory):
             assert main(
                 [
                     "evaluate",
-                    "--corpus", str(corpus),
                     "--queries", str(queries),
                     "--index-dir", str(index_dir),
                     "--depth", str(DEPTH),

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -12,14 +13,22 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import edit_video_table, resign
 
 from cliproute import cli, embed
 from cliproute import index as index_mod
 from cliproute.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _build_parser, main
-from cliproute.corpus import load_corpus, load_queries, normalize_text
-from cliproute.embed import MAX_DIM
+from cliproute.corpus import (
+    ClipRef,
+    QueryRecord,
+    load_corpus,
+    load_queries,
+    normalize_text,
+    save_queries,
+)
+from cliproute.embed import MAX_DIM, SparseVector, default_spec, embed_text, register_embedder
 from cliproute.evaluation import NDCG_LEGEND
 from cliproute.index import load_index
 from cliproute.router import ALL_CUE_WORDS, rule_route
@@ -65,6 +74,17 @@ def _build(paths):
             str(paths["index_dir"]),
         ]
     )
+
+
+def _skip_embed(spec, text):
+    """A registered embedder that embeds no text holding the word "zzhidden",
+    and embeds other text as the reference embedder does."""
+    if "zzhidden" in normalize_text(text).split():
+        return SparseVector(spec.dim, np.zeros(0, dtype=np.intp), np.zeros(0))
+    return embed_text(default_spec(spec.dim), text)
+
+
+register_embedder("test-skip", _skip_embed)
 
 
 class TestGenCorpus:
@@ -249,6 +269,20 @@ class TestBuildIndex:
         assert _tree(tmp_path) == before
         assert workspace["index_dir"].exists() is existing
 
+    def test_index_dir_that_is_a_file_is_usage_error_before_the_corpus_is_read(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        _gen(workspace)
+        index_dir = tmp_path / "indices"
+        index_dir.write_text("not a directory")
+        before = _tree(tmp_path)
+        monkeypatch.setattr(cli, "load_corpus", lambda path: pytest.fail("the corpus was read"))
+        capsys.readouterr()
+        assert _build(workspace) == EXIT_USAGE
+        message = f"usage error: index_dir path is not a directory: {index_dir}\n"
+        assert capsys.readouterr() == ("", message)
+        assert _tree(tmp_path) == before
+
     def test_holds_one_index_at_a_time(self, workspace, monkeypatch):
         _gen(workspace)
         calls, built = [], []
@@ -378,8 +412,7 @@ class TestRoute:
         else:
             _gen(workspace)
             _build(workspace)
-            argv = ["evaluate", "--corpus", str(workspace["corpus"])]
-            argv += ["--queries", str(workspace["queries"])]
+            argv = ["evaluate", "--queries", str(workspace["queries"])]
             argv += ["--index-dir", str(workspace["index_dir"]), "--methods", "routed:replay"]
         capsys.readouterr()
         assert main(argv) == EXIT_USAGE
@@ -440,8 +473,6 @@ class TestNonUtf8Input:
         code = main(
             [
                 "evaluate",
-                "--corpus",
-                str(workspace["corpus"]),
                 "--queries",
                 str(workspace["queries"]),
                 "--index-dir",
@@ -492,10 +523,14 @@ class TestMalformedJson:
             path.write_text(f"{first}\n{bad}\n")
             code, expected = EXIT_RUNTIME, f"error: {path}: line 2: {detail}"
         capsys.readouterr()
-        argv = ["evaluate", "--config", str(config), "--corpus", str(workspace["corpus"])]
-        argv += ["--queries", str(workspace["queries"]), "--index-dir", str(workspace["index_dir"])]
-        argv += ["--methods", "routed:replay", "--replay-fixture", str(fixture)]
-        assert main(argv + ["--out", str(workspace["report"])]) == code
+        if reader == "corpus":  # evaluate reads no corpus; build-index does
+            argv = ["build-index", "--config", str(config), "--corpus", str(workspace["corpus"])]
+            argv += ["--index-dir", str(workspace["index_dir"])]
+        else:
+            argv = ["evaluate", "--config", str(config), "--queries", str(workspace["queries"])]
+            argv += ["--index-dir", str(workspace["index_dir"]), "--methods", "routed:replay"]
+            argv += ["--replay-fixture", str(fixture), "--out", str(workspace["report"])]
+        assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(expected)
@@ -642,8 +677,6 @@ class TestEvaluate:
         return main(
             [
                 "evaluate",
-                "--corpus",
-                str(paths["corpus"]),
                 "--queries",
                 str(paths["queries"]),
                 "--index-dir",
@@ -878,14 +911,57 @@ class TestEvaluate:
         assert "different embedders" in err
         assert '"dim": 4096' in err and '"dim": 512' in err
 
+    @pytest.mark.parametrize("case", ["out-directory", "csv-directory", "same-path"])
+    def test_bad_report_paths_are_usage_errors_before_any_method_runs(
+        self, workspace, tmp_path, capsys, monkeypatch, case
+    ):
+        _gen(workspace)
+        _build(workspace)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        report = workspace["report"]
+        same = folder / ".." / report.name  # another spelling of the report's path
+        out, csv_out, message = {
+            "out-directory": (folder, workspace["csv"], f"out path is a directory: {folder}"),
+            "csv-directory": (report, folder, f"csv_out path is a directory: {folder}"),
+            "same-path": (report, same, f"out and csv_out name the same path: {report}"),
+        }[case]
+        monkeypatch.setattr(cli, "run_evaluation", lambda *a, **k: pytest.fail("a method ran"))
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        extra = ["--csv-out", str(csv_out)]
+        assert self._evaluate({**workspace, "report": out}, "routed:rule", extra) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "embedder, video", [("hashed-trigram", "ghost"), ("test-skip", "hidden")]
+    )
+    def test_gold_in_no_loaded_index_is_runtime_error(self, workspace, capsys, embedder, video):
+        """A gold that names no clip, and a clip that a registered embedder
+        skips in every index, exit 2 naming the query, not a silent miss."""
+        _gen(workspace)
+        with workspace["corpus"].open("a") as handle:
+            clip = {"clip_id": "hidden__s0__e10", "asr": "zzhidden", "visual": "zzhidden. zzhidden"}
+            handle.write(json.dumps(clip) + "\n")
+        gold = ClipRef(video, 0, 10)
+        queries = [*load_queries(workspace["queries"]), QueryRecord("q-gone", "who says x", gold)]
+        save_queries(queries, workspace["queries"])
+        argv = ["build-index", "--corpus", str(workspace["corpus"]), "--embedder", embedder]
+        assert main(argv + ["--index-dir", str(workspace["index_dir"])]) == EXIT_OK
+        skipped = int(embedder == "test-skip")
+        assert f"asr: indexed={13 - skipped} skipped={skipped}" in capsys.readouterr().out
+        assert self._evaluate(workspace, "routed:rule") == EXIT_RUNTIME
+        message = f"query 'q-gone' gold clip '{video}__s0__e10' is not a clip of any loaded index"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not workspace["report"].exists()
+
     def test_depth_below_ten_rejected(self, workspace, capsys):
         _gen(workspace)
         _build(workspace)
         code = main(
             [
                 "evaluate",
-                "--corpus",
-                str(workspace["corpus"]),
                 "--queries",
                 str(workspace["queries"]),
                 "--index-dir",
@@ -1040,6 +1116,26 @@ def _readme_flag_table() -> dict[str, set[str]]:
     return table
 
 
+def _readme_quickstart() -> list[list[str]]:
+    """The argv of each ``cliproute`` command in the README's Quickstart."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quickstart", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cliproute ")]
+
+
+class TestReadme:
+    def test_quickstart_commands_exit_0(self, tmp_path, monkeypatch, capsys):
+        commands = _readme_quickstart()
+        assert [argv[0] for argv in commands] == [
+            "gen-corpus", "build-index", "route", "query", "evaluate"
+        ]
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            assert main(argv) == EXIT_OK, argv
+        assert {"report.json", "breakdowns.csv", "indices"} <= {p.name for p in tmp_path.iterdir()}
+
+
 class TestCommandSurface:
     @pytest.mark.parametrize(
         "argv",
@@ -1050,6 +1146,7 @@ class TestCommandSurface:
             ["route", "--depth", "10", "hello"],
             ["query", "--dim", "64", "hello"],
             ["query", "--out", "x", "hello"],
+            ["evaluate", "--corpus", "x"],
         ],
         ids=lambda argv: " ".join(argv[:2]),
     )
@@ -1098,8 +1195,6 @@ class TestColdStart:
         query = ["query", "--fusion", "rrf", "--index-dir", index_dir, "what does the sign say"]
         evaluate = [
             "evaluate",
-            "--corpus",
-            str(workspace["corpus"]),
             "--queries",
             str(workspace["queries"]),
             "--index-dir",

@@ -7,10 +7,10 @@ import struct
 import numpy as np
 import pytest
 from conftest import edit_video_table, resign, split_index
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cliproute.corpus import ClipRecord, ClipRef, Corpus, Modality
+from cliproute.corpus import MODALITIES, ClipRecord, ClipRef, Corpus, CorpusError, Modality
 from cliproute.embed import (
     EmbedderSpec,
     EmbeddingError,
@@ -1069,3 +1069,81 @@ def test_every_truncation_and_byte_flip_is_rejected(small_file, tmp_path_factory
     path.write_bytes(damaged)
     with pytest.raises(IndexingError):
         load_index(path)
+
+
+def _validates(texts):
+    try:
+        ClipRecord(ClipRef("v", 0, 1), None, *texts).validate()
+    except CorpusError:
+        return False
+    return True
+
+
+#: Modality texts (asr, ocr, visual) of a clip that ClipRecord.validate accepts.
+_VALID_TEXTS = st.tuples(*[st.none() | st.text(max_size=40)] * 3).filter(_validates)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(clips=st.lists(_VALID_TEXTS, min_size=1, max_size=6))
+def test_every_valid_clip_sits_in_some_modality_index(clips):
+    """The reference build of the three modality indices holds each clip a
+    corpus accepts, so evaluate can check a gold against the indices alone."""
+    corpus = _corpus(
+        *[
+            _clip("v", 10 * i, asr_text=asr, ocr_text=ocr, visual_caption=visual)
+            for i, (asr, ocr, visual) in enumerate(clips)
+        ]
+    )
+    spec = default_spec(64)
+    held = set().union(*(_refs(build_index(corpus, m, spec)) for m in MODALITIES))
+    assert held == {clip.ref for clip in corpus}
+
+
+_VIDEOS = st.sampled_from(["a", "a_0", "a__s1", "a0", "b"])
+_STARTS = st.sampled_from([0, 1, 9, 10, 11, 90, 100, 1000])
+
+
+class TestContains:
+    """``ref in index`` against a brute-force scan of the rows."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        # (video, start, whether the clip has asr text): clips without it
+        # fall between the asr index's rows in clip-id order.
+        clips=st.lists(
+            st.tuples(_VIDEOS, _STARTS, st.booleans()), max_size=16, unique_by=lambda c: c[:2]
+        ),
+        others=st.lists(st.tuples(_VIDEOS, _STARTS, st.integers(1, 20)), max_size=8),
+    )
+    @example(clips=[("a", 0, False)], others=[("a", 0, 10)])  # an empty index
+    def test_matches_a_scan_on_built_and_loaded_indices(self, tmp_path_factory, clips, others):
+        corpus = _corpus(
+            *[
+                _clip(video, start, visual_caption="scene", asr_text="amber" if spoken else None)
+                for video, start, spoken in clips
+            ]
+        )
+        built = build_index(corpus, Modality.ASR, default_spec(64))
+        path = tmp_path_factory.mktemp("contains") / "asr.idx"
+        save_index(built, path)
+        loaded = load_index(path)
+        probes = [ClipRef(video, start, start + length) for video, start, length in others]
+        for video, start, _ in clips:
+            # The clip itself, and clips of its video at other times.
+            probes += [ClipRef(video, start, start + n) for n in (10, 9, 11)]
+            probes += [ClipRef(video, start + 1, start + 10), ClipRef(video, start + 5, start + 15)]
+        for index in (built, loaded):
+            rows = [index.ref(row) for row in range(len(index))]
+            for probe in probes:
+                assert (probe in index) == any(ref == probe for ref in rows), probe
+
+    def test_makes_and_keeps_no_clip_ref(self, spec, monkeypatch):
+        corpus = _corpus(*[_clip(f"v{i}", 10 * i, asr_text=w) for i, w in enumerate(_WORDS)])
+        index = build_index(corpus, Modality.ASR, spec)
+        probes = [clip.ref for clip in corpus] + [ClipRef("v3", 31, 41), ClipRef("z", 0, 1)]
+        made = []
+        check = ClipRef.__post_init__
+        monkeypatch.setattr(ClipRef, "__post_init__", lambda ref: made.append(ref) or check(ref))
+        assert [probe in index for probe in probes] == [True] * len(_WORDS) + [False, False]
+        assert made == []
+        assert index._refs == [None] * len(index)
