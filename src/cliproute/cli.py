@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 from .corpus import (
     FUSED_SOURCE,
+    INDEX_SOURCES,
     ClipRef,
     CorpusError,
     MODALITIES,
@@ -105,8 +106,9 @@ class RunConfig:
     csv_out: Optional[str] = None
 
     def validate_common(self) -> None:
-        if self.depth < 10:
-            raise UsageError(f"depth must be >= 10, got {self.depth}")
+        # A v4 index has at most 2**32 rows (u32); up to there, linear fusion sums are exact.
+        if not 10 <= self.depth <= 2**32:
+            raise UsageError(f"depth must be between 10 and {2**32}, got {self.depth}")
         _check_choice("fusion", self.fusion, _FUSIONS)
         if not (math.isfinite(self.rrf_k) and self.rrf_k > 0):
             raise UsageError(f"rrf_k must be finite and positive, got {self.rrf_k}")
@@ -128,22 +130,6 @@ class RunConfig:
             raise UsageError(
                 f"unknown embedder {self.embedder!r}; registered: {registered_embedders()}"
             )
-        if self.replay_fixture:
-            _require_path(self, "replay_fixture", "file")
-        if self.audit_log:
-            # Checked here, as the audit log is first written after an LLM call.
-            audit = Path(self.audit_log)
-            if audit.is_dir():
-                raise UsageError(f"audit_log path is a directory: {self.audit_log}")
-            if not audit.parent.is_dir():
-                raise UsageError(f"audit_log directory does not exist: {self.audit_log}")
-        # Checked here, as evaluate writes its reports after every method has run.
-        for key in ("out", "csv_out"):
-            value = getattr(self, key)
-            if value and Path(value).is_dir():
-                raise UsageError(f"{key} path is a directory: {value}")
-        if self.out and self.csv_out and Path(self.out).resolve() == Path(self.csv_out).resolve():
-            raise UsageError(f"out and csv_out name the same path: {self.out}")
 
     def embedder_spec(self) -> EmbedderSpec:
         if self.embedder == REFERENCE_EMBEDDER:
@@ -223,21 +209,42 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _require(config: RunConfig, name: str) -> str:
-    value = getattr(config, name)
-    if not value:
-        raise UsageError(f"missing required setting {name!r} (flag or config key)")
-    return value
+# The path settings each command reads, then those it writes.
+_PATHS = {
+    "gen-corpus": ((), ("corpus", "queries")),
+    "build-index": (("corpus",), ("index_dir",)),
+    "route": (("replay_fixture",), ("audit_log",)),
+    "query": (("index_dir", "replay_fixture"), ("audit_log",)),
+    "evaluate": (("queries", "index_dir", "replay_fixture"), ("audit_log", "out", "csv_out")),
+}
 
 
-def _require_path(config: RunConfig, name: str, kind: str) -> str:
-    """The setting's path, which must name an existing ``kind``: "file" or "directory"."""
-    value = _require(config, name)
-    path = Path(value)
-    if not (path.is_dir() if kind == "directory" else path.is_file()):
-        problem = f"is not a {kind}" if path.exists() else "does not exist"
-        raise UsageError(f"{name} path {problem}: {value}")
-    return value
+def _check_paths(config: RunConfig, command: str) -> None:
+    """Check each path ``command`` reads or writes, before any is touched: a read
+    exists as its kind; a write, if it exists, is of its kind and under no file;
+    no two name one file, and an index_dir names its index files."""
+    reads, writes = _PATHS[command]
+    seen: dict[Path, tuple[str, Path]] = {}
+    for key in reads + writes:
+        value = getattr(config, key)
+        if not value:
+            if key in ("corpus", "queries", "index_dir"):
+                raise UsageError(f"missing required setting {key!r} (flag or config key)")
+            continue
+        path, is_dir = Path(value), key == "index_dir"
+        if key in reads:
+            if not (path.is_dir() if is_dir else path.is_file()):
+                kind = "directory" if is_dir else "file"
+                problem = f"is not a {kind}" if path.exists() else "does not exist"
+                raise UsageError(f"{key} path {problem}: {value}")
+        elif path.exists() and path.is_dir() != is_dir:
+            raise UsageError(f"{key} path is {'not ' if is_dir else ''}a directory: {value}")
+        elif any(parent.exists() and not parent.is_dir() for parent in path.parents):
+            raise UsageError(f"{key} path is under a file, not a directory: {value}")
+        for file in [_index_path(path, s) for s in INDEX_SOURCES] if is_dir else [path]:
+            other, spelled = seen.setdefault(file.resolve(), (key, file))
+            if other != key:
+                raise UsageError(f"{other} and {key} name the same path: {spelled}")
 
 
 def _method_name(spec_str: str, config: RunConfig) -> tuple[str, str]:
@@ -294,8 +301,7 @@ def _load_indices(index_dir: str, sources: Sequence[str]) -> dict[str, ModalityI
 
 
 def cmd_gen_corpus(config: RunConfig) -> int:
-    corpus_path = Path(_require(config, "corpus"))
-    queries_path = Path(_require(config, "queries"))
+    corpus_path, queries_path = Path(config.corpus), Path(config.queries)
     corpus, queries = generate_synthetic_corpus(
         config.seed, config.n_videos, config.clips_per_video
     )
@@ -312,11 +318,8 @@ def cmd_gen_corpus(config: RunConfig) -> int:
 
 
 def cmd_build_index(config: RunConfig) -> int:
-    corpus_path = _require_path(config, "corpus", "file")
-    index_dir = Path(_require(config, "index_dir"))
-    if index_dir.exists():  # a missing index_dir is made
-        _require_path(config, "index_dir", "directory")
-    corpus = load_corpus(corpus_path)
+    index_dir = Path(config.index_dir)
+    corpus = load_corpus(config.corpus)
     spec = config.embedder_spec()
     builds = [lambda m=modality: build_index(corpus, m, spec) for modality in MODALITIES]
     if config.build_fused:
@@ -361,11 +364,10 @@ def cmd_route(config: RunConfig, query_text: str) -> int:
 def cmd_query(config: RunConfig, query_text: str) -> int:
     if not query_text or not query_text.strip():
         raise UsageError("query text must be non-empty")
-    index_dir = _require_path(config, "index_dir", "directory")
     query = QueryRecord(query_id="cli", text=query_text, gold=_CLI_GOLD)
     decision = make_router(config.router_config()).route(query)
     searches = decision.searches(query_text, config.use_rewrites)
-    indices = _load_indices(index_dir, [source for source, _ in searches])
+    indices = _load_indices(config.index_dir, [source for source, _ in searches])
     items = retrieve(searches, indices, config.depth, FusionMethod(config.fusion), config.rrf_k)
     payload = [
         {
@@ -380,8 +382,6 @@ def cmd_query(config: RunConfig, query_text: str) -> int:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    queries_path = _require_path(config, "queries", "file")
-    index_dir = _require_path(config, "index_dir", "directory")
     if not config.methods:
         raise UsageError("evaluate requires at least one method")
     names = [_method_name(m, config) for m in config.methods]
@@ -390,11 +390,10 @@ def cmd_evaluate(config: RunConfig) -> int:
         raise UsageError(f"evaluation method listed more than once: {', '.join(repeated)}")
     methods = [_parse_method(m, config) for m in config.methods]
 
-    queries = load_queries(queries_path)
-    sources = [m.wire for m in MODALITIES]
-    if any(m.kind is MethodKind.ALL_TEXT for m in methods):
-        sources.append(FUSED_SOURCE)
-    indices = _load_indices(index_dir, sources)
+    queries = load_queries(config.queries)
+    all_text = any(m.kind is MethodKind.ALL_TEXT for m in methods)
+    sources = [source for source in INDEX_SOURCES if all_text or source != FUSED_SOURCE]
+    indices = _load_indices(config.index_dir, sources)
     # No corpus is read: a gold must be a clip of some loaded index.
     golds = {q.gold for q in queries}
     golds = {gold for gold in golds if any(gold in index for index in indices.values())}
@@ -523,6 +522,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _load_config(args)
+        _check_paths(config, args.command)
         if args.command == "gen-corpus":
             return cmd_gen_corpus(config)
         if args.command == "build-index":
@@ -531,9 +531,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_route(config, args.text)
         if args.command == "query":
             return cmd_query(config, args.text)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        raise UsageError(f"unknown command {args.command!r}")
+        return cmd_evaluate(config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -413,6 +413,8 @@ class LlmRouter:
             raise RouterError(f"LLM backend requires a base URL (config or ${ENV_BASE_URL})")
         if not self.model:
             raise RouterError(f"LLM backend requires a model name (config or ${ENV_MODEL})")
+        if config.audit_path:
+            Path(config.audit_path).parent.mkdir(parents=True, exist_ok=True)
         import requests
 
         self._session = session or requests.Session()

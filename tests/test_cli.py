@@ -426,7 +426,7 @@ class TestRoute:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: replay_fixture path {problem}: {fixture}\n"
 
-    @pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("kind", ["directory", "under-a-file"])
     def test_unwritable_audit_log_is_usage_error_before_any_call(
         self, tmp_path, capsys, monkeypatch, kind
     ):
@@ -442,13 +442,32 @@ class TestRoute:
         if kind == "directory":
             audit, message = tmp_path, f"audit_log path is a directory: {tmp_path}"
         else:
-            audit = tmp_path / "absent" / "audit.jsonl"
-            message = f"audit_log directory does not exist: {audit}"
+            (tmp_path / "afile").write_text("")
+            audit = tmp_path / "afile" / "audit.jsonl"
+            message = f"audit_log path is under a file, not a directory: {audit}"
         argv = ["route", "--router", "llm", "--llm-base-url", "http://127.0.0.1:1"]
         argv += ["--llm-model", "m", "--audit-log", str(audit), "who says hello"]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"usage error: {message}\n")
         assert posts == []
+
+    def test_missing_audit_log_parent_is_made_before_any_call(self, tmp_path, monkeypatch):
+        import requests
+
+        audit = tmp_path / "absent" / "deeper" / "audit.jsonl"
+
+        def post(session, *args, **kwargs):
+            assert audit.parent.is_dir()
+            raise requests.ConnectionError("refused")
+
+        monkeypatch.setattr(requests.Session, "post", post)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"llm_max_retries": 1}))
+        argv = ["route", "--config", str(config), "--router", "llm", "--llm-base-url"]
+        argv += ["http://127.0.0.1:1", "--llm-model", "m", "--audit-log", str(audit), "who says"]
+        assert main(argv) == EXIT_OK
+        (line,) = audit.read_text().splitlines()
+        assert json.loads(line)["query_id"] == "cli"
 
 
 class TestNonUtf8Input:
@@ -1055,6 +1074,31 @@ class TestConfigFile:
         assert main(["route", "--config", str(config), "hello"]) == EXIT_USAGE
         assert capsys.readouterr().err == "usage error: clips_per_video must be >= 1, got -3\n"
 
+    @pytest.mark.parametrize("depth", [2**32 + 1, 10**400], ids=["2**32+1", "400-digits"])
+    @pytest.mark.parametrize("command", ["query", "evaluate"])
+    def test_depth_past_2_to_the_32_is_usage_error(self, workspace, capsys, command, depth):
+        _gen(workspace)
+        _build(workspace)
+        text = load_queries(workspace["queries"])[0].text
+        argv = [command, "--index-dir", str(workspace["index_dir"]), "--depth", str(depth)]
+        argv += [text] if command == "query" else ["--queries", str(workspace["queries"])]
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        message = f"usage error: depth must be between 10 and {2**32}, got {depth}\n"
+        assert capsys.readouterr() == ("", message)
+
+    def test_depth_2_to_the_32_ranks_as_depth_50(self, workspace, capsys):
+        _gen(workspace)
+        _build(workspace)
+        text = load_queries(workspace["queries"])[0].text
+        ranked = []
+        for depth in (50, 2**32):
+            capsys.readouterr()
+            argv = ["query", "--index-dir", str(workspace["index_dir"]), "--depth", str(depth)]
+            assert main(argv + [text]) == EXIT_OK
+            ranked.append([item["clip_id"] for item in json.loads(capsys.readouterr().out)])
+        assert ranked[0] == ranked[1] and ranked[0]
+
     def test_nan_rrf_k_flag_is_usage_error(self, tmp_path, capsys):
         argv = ["query", "--index-dir", str(tmp_path), "--fusion", "rrf", "--rrf-k", "nan", "x"]
         assert main(argv) == EXIT_USAGE
@@ -1157,21 +1201,163 @@ class TestCommandSurface:
         assert captured.err.startswith("usage error: unrecognized arguments")
 
     def test_readme_flag_table_matches_the_parser(self):
-        (commands,) = [
-            action
-            for action in _build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
-        registered = {
-            name: {
-                flag
-                for action in parser._actions
-                if not isinstance(action, argparse._HelpAction)
-                for flag in action.option_strings
-            }
-            for name, parser in commands.choices.items()
+        assert _readme_flag_table() == _parser_flags()
+
+    def test_every_path_flag_is_in_its_command_s_path_table_entry(self):
+        """A new command or path flag cannot skip the one path check."""
+        path_flags = {"--corpus", "--queries", "--index-dir", "--replay-fixture"}
+        path_flags |= {"--audit-log", "--out", "--csv-out"}
+        parser_flags = _parser_flags()
+        assert set(cli._PATHS) == set(parser_flags)
+        for command, flags in parser_flags.items():
+            reads, writes = cli._PATHS[command]
+            table = {"--" + key.replace("_", "-") for key in reads + writes}
+            assert flags & path_flags == table, command
+
+
+def _parser_flags() -> dict[str, set[str]]:
+    """Each subcommand's option flags, as the parser declares them."""
+    (commands,) = [
+        action
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        name: {
+            flag
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings
         }
-        assert _readme_flag_table() == registered
+        for name, parser in commands.choices.items()
+    }
+
+
+# Each command's path settings, as README "Configuration" lists them.
+_READS = {
+    "gen-corpus": (),
+    "build-index": ("corpus",),
+    "route": ("replay_fixture",),
+    "query": ("index_dir", "replay_fixture"),
+    "evaluate": ("queries", "index_dir", "replay_fixture"),
+}
+_WRITES = {
+    "gen-corpus": ("corpus", "queries"),
+    "build-index": ("index_dir",),
+    "route": ("audit_log",),
+    "query": ("audit_log",),
+    "evaluate": ("audit_log", "out", "csv_out"),
+}
+_PATH_PAIRS = [
+    (command, key) for command in _READS for key in _READS[command] + _WRITES[command]
+]
+# An output named as one of the command's other paths: (command, output, other).
+_COLLISIONS = [
+    ("gen-corpus", "queries", "corpus"),
+    ("evaluate", "out", "queries"),
+    ("evaluate", "out", "index_dir"),
+    ("evaluate", "audit_log", "queries"),
+    ("evaluate", "csv_out", "out"),
+]
+
+
+class TestPathCheck:
+    """Every path a command reads or writes is checked from one table before
+    any file is read or written."""
+
+    @pytest.fixture()
+    def paths(self, workspace, tmp_path):
+        """A valid path for every setting: inputs that exist, and outputs
+        under ``new/``, a directory that does not exist yet."""
+        _gen(workspace)
+        _build(workspace)
+        fixture = tmp_path / "fixture.jsonl"
+        fixture.write_text(json.dumps({"query_id": "cli", "raw_response": None}) + "\n")
+        new = tmp_path / "new"
+        read = {"corpus": workspace["corpus"], "queries": workspace["queries"]}
+        read.update(index_dir=workspace["index_dir"], replay_fixture=fixture)
+        written = {"corpus": new / "corpus.jsonl", "queries": new / "queries.jsonl"}
+        written.update(index_dir=new / "indices", audit_log=new / "audit.jsonl")
+        written.update(out=new / "report.json", csv_out=new / "report.csv")
+        return {
+            command: {key: read[key] for key in _READS[command]}
+            | {key: written[key] for key in _WRITES[command]}
+            for command in _READS
+        }
+
+    @staticmethod
+    def _argv(command, paths):
+        argv = [command]
+        for key, path in paths.items():
+            argv += ["--" + key.replace("_", "-"), str(path)]
+        if command in ("route", "query"):
+            argv += ["--router", "replay", "who says hello"]
+        if command == "evaluate":
+            argv += ["--methods", "routed:replay"]
+        return argv
+
+    def _assert_rejected_before_any_work(self, argv, message, tmp_path, capsys, monkeypatch):
+        work = ("generate_synthetic_corpus", "load_corpus", "load_queries", "load_index")
+        for name in work + ("make_router", "run_evaluation"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("work ran"))
+        before = _tree(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("command", list(_READS))
+    def test_every_path_given_runs_and_outputs_get_their_parents(
+        self, paths, tmp_path, capsys, command
+    ):
+        assert not (tmp_path / "new").exists()
+        assert main(self._argv(command, paths[command])) == EXIT_OK
+        for key in _WRITES[command]:
+            if key != "audit_log":  # the replay router writes no audit log
+                assert paths[command][key].exists(), key
+
+    @pytest.mark.parametrize("command, key", _PATH_PAIRS)
+    @pytest.mark.parametrize("case", ["wrong-kind", "under-a-file"])
+    def test_bad_path_is_usage_error_before_any_work(
+        self, paths, tmp_path, capsys, monkeypatch, command, key, case
+    ):
+        folder, afile = tmp_path / "folder", tmp_path / "afile"
+        folder.mkdir()
+        afile.write_text("a regular file")
+        read = key in _READS[command]
+        if case == "wrong-kind" and key == "index_dir":
+            bad, problem = afile, "is not a directory"
+        elif case == "wrong-kind":
+            bad, problem = folder, "is not a file" if read else "is a directory"
+        else:
+            bad = afile / "x"
+            problem = "does not exist" if read else "is under a file, not a directory"
+        argv = self._argv(command, {**paths[command], key: bad})
+        message = f"{key} path {problem}: {bad}"
+        self._assert_rejected_before_any_work(argv, message, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("command, output, other", _COLLISIONS)
+    def test_output_on_another_path_is_usage_error_before_any_work(
+        self, paths, tmp_path, capsys, monkeypatch, command, output, other
+    ):
+        given = paths[command]
+        same = given[other] / "asr.idx" if other == "index_dir" else given[other]
+        argv = self._argv(command, {**given, output: same})
+        first, second = sorted((output, other), key=list(given).index)
+        message = f"{first} and {second} name the same path: {same}"
+        self._assert_rejected_before_any_work(argv, message, tmp_path, capsys, monkeypatch)
+
+    def test_a_path_the_command_does_not_take_is_not_checked(self, tmp_path, capsys):
+        """One config file serves every command; gen-corpus ignores bad
+        replay_fixture, audit_log and out values."""
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps({"replay_fixture": "absent.jsonl", "audit_log": str(tmp_path), "out": "/"})
+        )
+        argv = ["gen-corpus", "--config", str(config), "--videos", "3"]
+        argv += ["--corpus", str(tmp_path / "c.jsonl"), "--queries", str(tmp_path / "q.jsonl")]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("wrote 15 clips to ")
 
 
 # Runs CLI commands in a fresh interpreter and reports which HTTP-client
