@@ -42,7 +42,6 @@ from .embed import (
     REFERENCE_EMBEDDER,
     EmbedderSpec,
     EmbeddingError,
-    default_spec,
     registered_embedders,
 )
 from .evaluation import EvalError, EvalMethod, MethodKind, retrieve, run_evaluation
@@ -132,8 +131,6 @@ class RunConfig:
             )
 
     def embedder_spec(self) -> EmbedderSpec:
-        if self.embedder == REFERENCE_EMBEDDER:
-            return default_spec(self.dim)
         return EmbedderSpec(name=self.embedder, dim=self.dim)
 
     def router_config(self, backend: Optional[str] = None) -> RouterConfig:

@@ -68,7 +68,9 @@ class EmbedderSpec:
     """Names an embedder and its vector dimensionality.
 
     Serialized into index headers so an index file records exactly how its
-    vectors were produced.
+    vectors were produced. The reference embedder always carries its fixed
+    hash parameters: empty parameters mean those, and any others raise
+    :class:`EmbeddingError`.
     """
 
     name: str = REFERENCE_EMBEDDER
@@ -84,6 +86,13 @@ class EmbedderSpec:
             raise EmbeddingError(
                 f"unknown embedder {self.name!r}; registered: {sorted(_REGISTRY)}"
             )
+        if self.name == REFERENCE_EMBEDDER:
+            if self.parameters and self.parameters != _REFERENCE_PARAMETERS:
+                raise EmbeddingError(
+                    f"{self.name} parameters must be empty or {dict(_REFERENCE_PARAMETERS)}, "
+                    f"got {dict(self.parameters)}"
+                )
+            object.__setattr__(self, "parameters", dict(_REFERENCE_PARAMETERS))
 
     def to_dict(self) -> dict:
         return {"name": self.name, "dim": self.dim, "parameters": dict(self.parameters)}
@@ -98,10 +107,8 @@ class EmbedderSpec:
 
 
 def default_spec(dim: int = DEFAULT_DIM) -> EmbedderSpec:
-    """Reference embedder spec with its hash parameters filled in."""
-    return EmbedderSpec(
-        name=REFERENCE_EMBEDDER, dim=dim, parameters=dict(_REFERENCE_PARAMETERS)
-    )
+    """Reference embedder spec, which carries its hash parameters."""
+    return EmbedderSpec(REFERENCE_EMBEDDER, dim)
 
 
 def token_bucket(token: str, dim: int) -> int:

@@ -3,7 +3,7 @@
 One immutable index per searchable source (the three modalities plus the
 optional fused-caption index): each clip's text is split into sentences,
 every sentence embedded, and the sentence vectors mean-pooled into a single
-re-normalized vector per clip. A build pools a block of clips at a time in
+re-normalized vector per clip. A build pools each fixed block of clips in
 one vectorized pass; only each row's norm runs per clip, over a full-width
 row, so every weight is bit-equal to pooling full-width rows one by one.
 Each clip row keeps only its nonzero entries, stored bucket-major as
@@ -47,8 +47,9 @@ DEFAULT_DEPTH = 50
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
 #: The largest clip time a u32 column holds.
 _MAX_TIME_S = 2**32 - 1
-#: Clips a build pools in one vectorized pass: enough to spread each pass's
-#: fixed numpy cost thin, few enough that its scratch memory stays small.
+#: Corpus clips per build block, whose clips with text are pooled in one
+#: vectorized pass: enough to spread each pass's fixed numpy cost thin, few
+#: enough that its scratch memory stays small.
 _POOL_BLOCK = 256
 
 
@@ -176,71 +177,59 @@ def _pool_block(rows: list[list[SparseVector]], scratch: np.ndarray) -> tuple[np
 
 
 def _build_for_source(corpus: Corpus, source: str, spec: EmbedderSpec) -> ModalityIndex:
-    numbers: dict[str, int] = {}
-    video_numbers: list[int] = []
-    starts: list[int] = []
-    ends: list[int] = []
+    clips = sorted(corpus, key=lambda record: record.ref.clip_id)
+    scratch = np.zeros(spec.dim)
+    refs: list[ClipRef] = []  # the kept rows' clips, in row order
     # Leading empty entries keep concatenate valid for an empty index.
     row_nnz: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
     row_buckets: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
     row_weights: list[np.ndarray] = [np.zeros(0, dtype=np.float64)]
-    skipped = 0
-    scratch = np.zeros(spec.dim)
-    # The pending block: each clip's ref and its non-empty sentence vectors.
-    refs: list[ClipRef] = []
-    rows: list[list[SparseVector]] = []
-
-    def pool_block() -> None:
-        nonlocal skipped
-        keep, nnz, buckets, weights = _pool_block(rows, scratch)
-        for ref in compress(refs, keep.tolist()):
-            if ref.end_s > _MAX_TIME_S:
+    for lo in range(0, len(clips), _POOL_BLOCK):
+        # The block's clips with text: each one's ref and non-empty sentence vectors.
+        block_refs: list[ClipRef] = []
+        rows: list[list[SparseVector]] = []
+        for clip in clips[lo : lo + _POOL_BLOCK]:
+            sentences = split_sentences(clip.text_for(source) or "")
+            vectors = [vec for vec in (embed_text(spec, s) for s in sentences) if not is_zero(vec)]
+            # A clip past the u32 time columns is probed alone as it comes, so
+            # its error comes before any later clip is embedded; one that
+            # pools to zero is skipped like any other.
+            if clip.ref.end_s > _MAX_TIME_S and vectors and _pool_block([vectors], scratch)[0][0]:
                 raise IndexingError(
-                    f"clip {ref.clip_id}: times above {_MAX_TIME_S} s do not fit the index"
+                    f"clip {clip.ref.clip_id}: times above {_MAX_TIME_S} s do not fit the index"
                 )
-            video_numbers.append(numbers.setdefault(ref.video_id, len(numbers)))
-            starts.append(ref.start_s)
-            ends.append(ref.end_s)
-        skipped += len(rows) - len(nnz)
-        row_nnz.append(nnz)
-        row_buckets.append(buckets)
-        row_weights.append(weights)
-        refs.clear()
-        rows.clear()
-
-    for clip in sorted(corpus, key=lambda record: record.ref.clip_id):
-        text = clip.text_for(source)
-        vectors = [embed_text(spec, sentence) for sentence in split_sentences(text or "")]
-        vectors = [vec for vec in vectors if not is_zero(vec)]
-        if not vectors:
-            skipped += 1
-            continue
-        refs.append(clip.ref)
-        rows.append(vectors)
-        # A clip past the u32 time columns ends its block, so its error comes
-        # before any later clip is embedded, as it would clip by clip.
-        if len(rows) == _POOL_BLOCK or clip.ref.end_s > _MAX_TIME_S:
-            pool_block()
-    if rows:
-        pool_block()
+            if vectors:
+                block_refs.append(clip.ref)
+                rows.append(vectors)
+        if rows:
+            keep, nnz, buckets, weights = _pool_block(rows, scratch)
+            refs.extend(compress(block_refs, keep.tolist()))
+            row_nnz.append(nnz)
+            row_buckets.append(buckets)
+            row_weights.append(weights)
+        # Dropped here, or the last block's sentence vectors would live on
+        # through the postings sort below, where a build's memory peaks.
+        del rows
+    numbers: dict[str, int] = {}  # each video's number, in order of first use
+    video_numbers = [numbers.setdefault(ref.video_id, len(numbers)) for ref in refs]
     # The postings: entries stably sorted by bucket, so rows stay ascending
     # in each. 16-bit keys, where they fit, sort by radix several times faster.
     buckets = np.concatenate(row_buckets)
     order = np.argsort(buckets.astype(np.min_scalar_type(spec.dim - 1)), kind="stable")
     post_ptr = np.zeros(spec.dim + 1, dtype=np.int64)
     np.cumsum(np.bincount(buckets, minlength=spec.dim), out=post_ptr[1:])
-    entry_rows = np.repeat(np.arange(len(starts), dtype=np.uint32), np.concatenate(row_nnz))
+    entry_rows = np.repeat(np.arange(len(refs), dtype=np.uint32), np.concatenate(row_nnz))
     return ModalityIndex(
         source=source,
         embedder=spec,
         video_ids=list(numbers),
         video_numbers=np.array(video_numbers, dtype=np.uint32),
-        start_s=np.array(starts, dtype=np.uint32),
-        end_s=np.array(ends, dtype=np.uint32),
+        start_s=np.array([ref.start_s for ref in refs], dtype=np.uint32),
+        end_s=np.array([ref.end_s for ref in refs], dtype=np.uint32),
         post_ptr=post_ptr,
         post_rows=entry_rows[order],
         post_weights=np.concatenate(row_weights)[order],
-        build_stats=BuildStats(indexed=len(starts), skipped=skipped, empty=not starts),
+        build_stats=BuildStats(indexed=len(refs), skipped=len(clips) - len(refs), empty=not refs),
     )
 
 

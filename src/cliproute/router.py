@@ -61,13 +61,12 @@ class RoutingDecision:
     """Ordered modality selections with their optimized query strings.
 
     Selection order is confidence order; it feeds the coverage-error metric
-    and single-modality constraining. ``raw_response`` keeps the unparsed
-    LLM transcript for audit.
+    and single-modality constraining. An LLM decision's transcript goes to
+    the audit log, not here.
     """
 
     selections: list[tuple[Modality, str]]
     origin: Origin
-    raw_response: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.selections) <= 3:
@@ -131,13 +130,9 @@ ALL_CUE_WORDS = frozenset(
 _QUOTED_RE = re.compile(r"'[^']+'|\"[^\"]+\"")
 
 
-def fallback_all_decision(text: str, raw_response: Optional[str] = None) -> RoutingDecision:
+def fallback_all_decision(text: str) -> RoutingDecision:
     """Recall-preserving decision: search everything with the original text."""
-    return RoutingDecision(
-        selections=[(m, text) for m in MODALITIES],
-        origin=Origin.FALLBACK_ALL,
-        raw_response=raw_response,
-    )
+    return RoutingDecision(selections=[(m, text) for m in MODALITIES], origin=Origin.FALLBACK_ALL)
 
 
 def rule_route(text: str) -> RoutingDecision:
@@ -264,7 +259,7 @@ def parse_router_response(raw: str, original_query: str) -> RoutingDecision:
         raise ValueError("original_query must be non-empty")
     obj = _first_json_object(raw)
     if not obj:
-        return fallback_all_decision(original_query, raw_response=raw)
+        return fallback_all_decision(original_query)
     selections: list[tuple[Modality, str]] = []
     seen: set[Modality] = set()
     for key, value in obj.items():
@@ -275,8 +270,8 @@ def parse_router_response(raw: str, original_query: str) -> RoutingDecision:
         optimized = value if isinstance(value, str) and value.strip() else original_query
         selections.append((modality, optimized))
     if not selections:
-        return fallback_all_decision(original_query, raw_response=raw)
-    return RoutingDecision(selections=selections, origin=Origin.LLM, raw_response=raw)
+        return fallback_all_decision(original_query)
+    return RoutingDecision(selections=selections, origin=Origin.LLM)
 
 
 def decide_from_transcript(

@@ -28,6 +28,7 @@ form a ladder.
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 from .corpus import (
     ClipRecord,
@@ -39,6 +40,7 @@ from .corpus import (
     QueryRecord,
 )
 from .embed import DEFAULT_DIM, _word_buckets, token_bucket
+from .evaluation import graded_relevance
 from .router import ALL_CUE_WORDS
 
 CLIP_SECONDS = 10
@@ -116,16 +118,7 @@ class _TokenMint:
 
 def _decoy_refs(gold: ClipRef, ordered_refs: list[ClipRef], count: int = 3) -> list[ClipRef]:
     """First ``count`` clips (by canonical id) with zero graded relevance to gold."""
-    decoys: list[ClipRef] = []
-    for ref in ordered_refs:
-        if ref == gold:
-            continue
-        if ref.video_id == gold.video_id and abs(ref.start_s - gold.start_s) <= 10:
-            continue
-        decoys.append(ref)
-        if len(decoys) >= count:
-            break
-    return decoys
+    return list(islice((ref for ref in ordered_refs if not graded_relevance(ref, gold)), count))
 
 
 def generate_synthetic_corpus(

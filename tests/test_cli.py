@@ -22,13 +22,21 @@ from cliproute import index as index_mod
 from cliproute.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _build_parser, main
 from cliproute.corpus import (
     ClipRef,
+    Modality,
     QueryRecord,
     load_corpus,
     load_queries,
     normalize_text,
     save_queries,
 )
-from cliproute.embed import MAX_DIM, SparseVector, default_spec, embed_text, register_embedder
+from cliproute.embed import (
+    MAX_DIM,
+    EmbedderSpec,
+    SparseVector,
+    default_spec,
+    embed_text,
+    register_embedder,
+)
 from cliproute.evaluation import NDCG_LEGEND
 from cliproute.index import load_index
 from cliproute.router import ALL_CUE_WORDS, rule_route
@@ -907,6 +915,42 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: bad header: ")
         assert f"embedder dim must be <= {MAX_DIM}, got {MAX_DIM + 1}" in err
+
+    def test_reference_header_with_other_parameters_is_runtime_error(self, workspace, capsys):
+        _gen(workspace)
+        _build(workspace)
+        path = workspace["index_dir"] / "asr.idx"
+
+        def rehash(header, payload):
+            header["embedder"]["parameters"]["hash"] = "md5"
+            return header, payload
+
+        path.write_bytes(resign(path.read_bytes(), rehash))
+        capsys.readouterr()
+        assert self._evaluate(workspace, "single:asr") == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: bad header: ")
+        assert "hashed-trigram parameters must be empty or" in err
+
+    def test_an_index_built_with_the_bare_reference_spec_joins_cli_indices(
+        self, workspace, capsys
+    ):
+        # EmbedderSpec() and the spec build-index uses are one spec, so an
+        # index built through the API mixes with the CLI's in one directory.
+        _gen(workspace)
+        _build(workspace)
+        methods = "routed:rule,late_fusion_all,single:asr,all_text"
+        capsys.readouterr()
+        assert self._evaluate(workspace, methods) == EXIT_OK
+        report, out = workspace["report"].read_bytes(), capsys.readouterr().out
+        path = workspace["index_dir"] / "asr.idx"
+        cli_bytes = path.read_bytes()
+        corpus = load_corpus(workspace["corpus"])
+        index_mod.save_index(index_mod.build_index(corpus, Modality.ASR, EmbedderSpec()), path)
+        assert path.read_bytes() == cli_bytes
+        assert self._evaluate(workspace, methods) == EXIT_OK
+        assert workspace["report"].read_bytes() == report
+        assert capsys.readouterr().out == out
 
     def test_mixed_embedders_rejected_at_load(self, workspace, tmp_path, capsys):
         _gen(workspace)

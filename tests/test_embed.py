@@ -228,6 +228,20 @@ class TestEmbedderSpec:
         assert spec.to_dict()["dim"] == spec.dim
         assert EmbedderSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("dim", [8, 64, 4096])
+    def test_the_bare_reference_spec_is_the_default_spec(self, dim):
+        assert EmbedderSpec(dim=dim) == default_spec(dim)
+        spelled_out = EmbedderSpec("hashed-trigram", dim, dict(default_spec().parameters))
+        assert spelled_out == default_spec(dim)
+        assert EmbedderSpec.from_dict({"name": "hashed-trigram", "dim": dim}) == default_spec(dim)
+
+    @pytest.mark.parametrize(
+        "parameters", [{"hash": "md5"}, {**default_spec().parameters, "extra": "x"}]
+    )
+    def test_the_reference_spec_takes_no_other_parameters(self, parameters):
+        with pytest.raises(EmbeddingError, match="hashed-trigram parameters must be empty or"):
+            EmbedderSpec(parameters=parameters)
+
 
 class TestRegisteredEmbedderContract:
     @pytest.mark.parametrize(

@@ -339,10 +339,12 @@ class TestBuildIndex:
         save_index(index, tmp_path / "asr.idx")
         assert _refs(load_index(tmp_path / "asr.idx")) == [ClipRef("a", 0, 10)]
 
-    def test_rows_do_not_depend_on_the_pooling_blocks(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_rows_do_not_depend_on_the_pooling_blocks(self, tmp_path, monkeypatch, block):
         # More than two blocks and a size that is not a multiple of one:
         # one- and multi-sentence texts, empty fields, partial cancellation
-        # ("up. down") and rows that pool to zero ("plus. minus").
+        # ("up. down") and rows that pool to zero ("plus. minus"). Small
+        # blocks mix in clips without text; a block of one may hold none.
         rng = random.Random(13)
         sentences = ["up", "down", "plus", "minus", *_WORDS, "amber basil", "cedar iris maple"]
         texts = []
@@ -369,9 +371,9 @@ class TestBuildIndex:
         assert index.build_stats == BuildStats(indexed=len(kept), skipped=len(texts) - len(kept))
         assert index.build_stats.skipped >= sum(t in (None, "?!", "plus. minus") for t in texts) > 0
         save_index(index, tmp_path / "blocks.idx")
-        monkeypatch.setattr(index_module, "_POOL_BLOCK", 1)
-        save_index(build_index(corpus, Modality.ASR, spec), tmp_path / "one_by_one.idx")
-        assert (tmp_path / "blocks.idx").read_bytes() == (tmp_path / "one_by_one.idx").read_bytes()
+        monkeypatch.setattr(index_module, "_POOL_BLOCK", block)
+        save_index(build_index(corpus, Modality.ASR, spec), tmp_path / "small_blocks.idx")
+        assert (tmp_path / "blocks.idx").read_bytes() == (tmp_path / "small_blocks.idx").read_bytes()
 
     def test_build_embeds_each_sentence_once_in_clip_id_order(self, spec, monkeypatch):
         # The benchmark times embedding through these calls; a batched build

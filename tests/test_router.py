@@ -154,7 +154,6 @@ class TestParseRouterResponse:
         raw = 'Sure! ```json {"asr": "x", "visuals": "y"} ```'
         decision = parse_router_response(raw, "orig")
         assert decision.modalities == [Modality.ASR, Modality.VISUAL]
-        assert decision.raw_response == raw
 
     def test_case_insensitive_keys(self):
         decision = parse_router_response('{"ASR": "loud"}', "orig")
@@ -530,7 +529,20 @@ def _outcome(router, query):
         decision = router.route(query)
     except RouterError as exc:
         return ("RouterError", str(exc))
-    return (decision.selections, decision.origin, decision.raw_response)
+    return (decision.selections, decision.origin)
+
+
+def _live_reply(case):
+    """The reply text the fake endpoint ends ``case`` with, or None when it fails."""
+    last = _TRANSCRIPT_CASES[case][-1]
+    return last.json()["choices"][0]["message"]["content"] if last.status_code == 200 else None
+
+
+def _audited_replies(audit):
+    """Each audit line's query id and ``raw_response``, in file order."""
+    lines = []
+    read_jsonl(audit, lines.append)
+    return [(line["query_id"], line["raw_response"]) for line in lines]
 
 
 class TestTranscriptRoundTrip:
@@ -548,6 +560,7 @@ class TestTranscriptRoundTrip:
         live_outcomes = [_outcome(live, q) for q in queries]
         replay = make_router(RouterConfig(backend="replay", replay_path=str(audit), **settings))
         assert [_outcome(replay, q) for q in queries] == live_outcomes
+        assert _audited_replies(audit) == [(case, _live_reply(case)) for case in _TRANSCRIPT_CASES]
         raised = [q.query_id for q, o in zip(queries, live_outcomes) if o[0] == "RouterError"]
         assert raised == ([] if fallback else ["500s", "401"])
         origins = [o[1] for o in live_outcomes if o[0] != "RouterError"]
@@ -567,11 +580,12 @@ class TestTranscriptRoundTrip:
         flag = "--fallback-on-error" if fallback else "--no-fallback-on-error"
         code = main(["route", "--router", "replay", "--replay-fixture", str(audit), flag, text])
         captured = capsys.readouterr()
+        assert _audited_replies(audit) == [("cli", _live_reply(case))]
         if outcome[0] == "RouterError":
             assert code == EXIT_RUNTIME
             assert captured.err == f"error: {outcome[1]}\n"
             return
-        selections, origin, _ = outcome
+        selections, origin = outcome
         wire = json.dumps({m.wire: q for m, q in selections}, ensure_ascii=False)
         assert code == EXIT_OK
         assert captured.out == f"{wire}\norigin: {origin.value}\n"
@@ -656,4 +670,3 @@ def test_single_mode_keeps_first_selection_on_every_backend(case, tmp_path):
     assert len(multi.selections) > 1
     assert single.selections == multi.selections[:1]
     assert single.origin is multi.origin
-    assert single.raw_response == multi.raw_response
