@@ -105,7 +105,7 @@ class RunConfig:
     csv_out: Optional[str] = None
 
     def validate_common(self) -> None:
-        # A v4 index has at most 2**32 rows (u32); up to there, linear fusion sums are exact.
+        # An index numbers at most 2**32 rows (u32); up to there, linear fusion sums are exact.
         if not 10 <= self.depth <= 2**32:
             raise UsageError(f"depth must be between 10 and {2**32}, got {self.depth}")
         _check_choice("fusion", self.fusion, _FUSIONS)

@@ -24,8 +24,8 @@ from .corpus import normalize_text
 DEFAULT_DIM = 4096
 #: The widest vector an embedder may produce. Each dim-wide array that a
 #: build or a load makes (float64 or int64) then stays at or below 8 MB, and
-#: every index file carries one dim-wide u32 column, its bucket counts: 4 MB
-#: at this dim.
+#: every index file carries one dim-wide column of bucket counts, at most
+#: u32: 4 MB at this dim.
 MAX_DIM = 2**20
 REFERENCE_EMBEDDER = "hashed-trigram"
 
@@ -120,8 +120,11 @@ def token_bucket(token: str, dim: int) -> int:
 @functools.lru_cache(maxsize=_WORD_MEMO_SIZE)
 def _word_buckets(dim: int, word: str) -> tuple[int, ...]:
     """Buckets of one word and of each of its character trigrams."""
+    bucket = token_bucket(word, dim)
+    if len(word) == 3:  # the word is its own only trigram: hashed once
+        return (bucket, bucket)
     trigrams = (word[i : i + 3] for i in range(len(word) - 2))
-    return (token_bucket(word, dim), *(token_bucket(t, dim) for t in trigrams))
+    return (bucket, *(token_bucket(t, dim) for t in trigrams))
 
 
 def _hashed_trigram_embed(spec: EmbedderSpec, text: str) -> SparseVector:

@@ -15,10 +15,12 @@ positive score, equal scores in row order, which is clip-id order. The
 versioned, checksummed file holds those postings as whole columns, each
 read back with one ``np.frombuffer`` and copied out of the file's bytes:
 a load derives nothing, files round-trip bit-exactly, and damaged or
-out-of-order files are rejected. A save writes the columns one after
-another, never joined into one copy. An index keeps the rows in the
-file's u32, built or loaded, and its clips as columns too (video ids,
-each row's video number, start and end), and makes a :class:`ClipRef`
+out-of-order files are rejected. Each integer column is stored at the
+narrowest of u8, u16 and u32 that holds the largest value the header
+allows it (:func:`_column_types`). A save writes the columns one after
+another, never joined into one copy. An index keeps its clips as columns
+too (video ids, each row's video number, start and end), every integer
+column at its file width, built or loaded, and makes a :class:`ClipRef`
 only for the rows a search returns.
 """
 
@@ -40,13 +42,14 @@ from .corpus import FUSED_SOURCE, INDEX_SOURCES, ClipRef, Corpus, Modality, clip
 from .embed import EmbedderSpec, EmbeddingError, SparseVector, embed_text, is_zero
 
 FORMAT_NAME = "cliproute-index"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _REBUILD = "rebuild with build-index"
 DEFAULT_DEPTH = 50
 
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+")
-#: The largest clip time a u32 column holds.
-_MAX_TIME_S = 2**32 - 1
+#: The largest value of the widest integer column, u32: the bound on clip
+#: times and on the header's counts.
+_MAX_U32 = 2**32 - 1
 #: Corpus clips per build block, whose clips with text are pooled in one
 #: vectorized pass: enough to spread each pass's fixed numpy cost thin, few
 #: enough that its scratch memory stays small.
@@ -73,7 +76,8 @@ class ModalityIndex:
     use; rows run in strictly ascending clip-id order. Bucket ``b`` holds
     ``post_weights[post_ptr[b]:post_ptr[b + 1]]`` in the strictly increasing
     rows ``post_rows[post_ptr[b]:post_ptr[b + 1]]``, each row in some bucket.
-    Rows are u32, the file's width, whether the index was built or loaded.
+    The video number, time and row columns have the unsigned widths of
+    :func:`_column_types`, the file's, whether the index was built or loaded.
     ``ref in index`` asks whether a row is that clip: a binary search by clip
     id, which makes and keeps no ClipRef.
     """
@@ -81,11 +85,11 @@ class ModalityIndex:
     source: str
     embedder: EmbedderSpec
     video_ids: list[str]  # the distinct video ids, in order of first use
-    video_numbers: np.ndarray  # (count,) uint32 places in video_ids
-    start_s: np.ndarray  # (count,) uint32 clip starts
-    end_s: np.ndarray  # (count,) uint32 clip ends
+    video_numbers: np.ndarray  # (count,) places in video_ids
+    start_s: np.ndarray  # (count,) clip starts
+    end_s: np.ndarray  # (count,) clip ends
     post_ptr: np.ndarray  # (dim + 1,) int64 bucket offsets
-    post_rows: np.ndarray  # (nnz,) uint32 rows, ascending within a bucket
+    post_rows: np.ndarray  # (nnz,) rows, ascending within a bucket
     post_weights: np.ndarray  # (nnz,) float64 values
     build_stats: BuildStats
 
@@ -124,6 +128,24 @@ class RankedList:
 def split_sentences(text: str) -> list[str]:
     """Split on sentence punctuation; parts that normalize to nothing drop out."""
     return [part for part in _SENTENCE_SPLIT_RE.split(text) if part.strip()]
+
+
+def _width(largest: int) -> str:
+    """The narrowest of u8, u16 and u32 that holds every value up to ``largest``."""
+    return "u1" if largest < 2**8 else "u2" if largest < 2**16 else "u4"
+
+
+def _column_types(count: int, videos: int, max_end_s: int) -> dict[str, str]:
+    """Each integer column's unsigned type, from the header's bounds: a row
+    is below ``count``, a bucket holds at most ``count`` rows, a video
+    number is below ``videos``, and no time passes ``max_end_s``."""
+    return {
+        "video number": _width(videos - 1),
+        "start": _width(max_end_s),
+        "end": _width(max_end_s),
+        "bucket count": _width(count),
+        "row": _width(count - 1),
+    }
 
 
 def _pool_block(rows: list[list[SparseVector]], scratch: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -194,9 +216,9 @@ def _build_for_source(corpus: Corpus, source: str, spec: EmbedderSpec) -> Modali
             # A clip past the u32 time columns is probed alone as it comes, so
             # its error comes before any later clip is embedded; one that
             # pools to zero is skipped like any other.
-            if clip.ref.end_s > _MAX_TIME_S and vectors and _pool_block([vectors], scratch)[0][0]:
+            if clip.ref.end_s > _MAX_U32 and vectors and _pool_block([vectors], scratch)[0][0]:
                 raise IndexingError(
-                    f"clip {clip.ref.clip_id}: times above {_MAX_TIME_S} s do not fit the index"
+                    f"clip {clip.ref.clip_id}: times above {_MAX_U32} s do not fit the index"
                 )
             if vectors:
                 block_refs.append(clip.ref)
@@ -212,20 +234,21 @@ def _build_for_source(corpus: Corpus, source: str, spec: EmbedderSpec) -> Modali
         del rows
     numbers: dict[str, int] = {}  # each video's number, in order of first use
     video_numbers = [numbers.setdefault(ref.video_id, len(numbers)) for ref in refs]
+    types = _column_types(len(refs), len(numbers), max((ref.end_s for ref in refs), default=0))
     # The postings: entries stably sorted by bucket, so rows stay ascending
     # in each. 16-bit keys, where they fit, sort by radix several times faster.
     buckets = np.concatenate(row_buckets)
     order = np.argsort(buckets.astype(np.min_scalar_type(spec.dim - 1)), kind="stable")
     post_ptr = np.zeros(spec.dim + 1, dtype=np.int64)
     np.cumsum(np.bincount(buckets, minlength=spec.dim), out=post_ptr[1:])
-    entry_rows = np.repeat(np.arange(len(refs), dtype=np.uint32), np.concatenate(row_nnz))
+    entry_rows = np.repeat(np.arange(len(refs), dtype=types["row"]), np.concatenate(row_nnz))
     return ModalityIndex(
         source=source,
         embedder=spec,
         video_ids=list(numbers),
-        video_numbers=np.array(video_numbers, dtype=np.uint32),
-        start_s=np.array([ref.start_s for ref in refs], dtype=np.uint32),
-        end_s=np.array([ref.end_s for ref in refs], dtype=np.uint32),
+        video_numbers=np.array(video_numbers, dtype=types["video number"]),
+        start_s=np.array([ref.start_s for ref in refs], dtype=types["start"]),
+        end_s=np.array([ref.end_s for ref in refs], dtype=types["end"]),
         post_ptr=post_ptr,
         post_rows=entry_rows[order],
         post_weights=np.concatenate(row_weights)[order],
@@ -254,8 +277,10 @@ def search(index: ModalityIndex, vec: SparseVector, n: int) -> RankedList:
         raise IndexingError(f"search depth must be >= 1, got {n}")
     if vec.dim != index.embedder.dim:
         raise EmbeddingError(f"query dim {vec.dim} does not match index dim {index.embedder.dim}")
-    starts = index.post_ptr[vec.buckets]
-    lengths = index.post_ptr[vec.buckets + 1] - starts
+    # A registered embedder may return narrow buckets, where + 1 would wrap.
+    buckets = vec.buckets.astype(np.intp, copy=False)
+    starts = index.post_ptr[buckets]
+    lengths = index.post_ptr[buckets + 1] - starts
     # Positions of the query buckets' postings, concatenated in bucket order.
     offsets = np.cumsum(lengths) - lengths
     positions = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
@@ -286,27 +311,35 @@ def _digest(header: dict, payload: list) -> str:
 
 
 def save_index(index: ModalityIndex, path: str | Path) -> None:
-    """Write the versioned binary index file (format v4).
+    """Write the versioned binary index file (format v5).
 
     Layout: one canonical JSON header line, then whole little-endian
     columns: the u32 byte lengths of the distinct video ids (in order of
-    first use) and their UTF-8 bytes; per clip, in clip-id order, its u32
-    video number, start_s and end_s; per bucket, its u32 posting count;
-    then the postings bucket after bucket: all u32 rows and all float64
-    weights. The header's ``sha256`` covers the rest of the header and the
-    payload. Writing the same index twice produces identical bytes. The
-    columns go to the digest and then to the file one after another, never
-    joined into one copy; a column the index holds in its file type is not
-    copied at all.
+    first use) and their UTF-8 bytes; per clip, in clip-id order, its video
+    number, start_s and end_s; per bucket, its posting count; then the
+    postings bucket after bucket: all rows and all float64 weights. Each
+    integer column but the id lengths has the unsigned width
+    :func:`_column_types` gives for the header's ``count``, ``videos`` and
+    ``max_end_s`` (the largest end, 0 for an empty index). The header's
+    ``sha256`` covers the rest of the header and the payload. Writing the
+    same index twice produces identical bytes. The columns go to the digest
+    and then to the file one after another, never joined into one copy; a
+    column the index holds in its file type is not copied at all.
     """
     video_ids = [video.encode("utf-8") for video in index.video_ids]
-    u32_columns = (
-        index.video_numbers, index.start_s, index.end_s, np.diff(index.post_ptr), index.post_rows
-    )
+    max_end_s = int(index.end_s.max(initial=0))
+    types = _column_types(len(index), len(video_ids), max_end_s)
+    columns = {
+        "video number": index.video_numbers,
+        "start": index.start_s,
+        "end": index.end_s,
+        "bucket count": np.diff(index.post_ptr),
+        "row": index.post_rows,
+    }
     payload = [
         np.array([len(video) for video in video_ids], dtype="<u4"),
         b"".join(video_ids),
-        *[np.ascontiguousarray(column, "<u4") for column in u32_columns],
+        *[np.ascontiguousarray(columns[name], "<" + types[name]) for name in columns],
         np.ascontiguousarray(index.post_weights, "<f8"),
     ]
     header = {
@@ -318,6 +351,7 @@ def save_index(index: ModalityIndex, path: str | Path) -> None:
         "count": len(index),
         "videos": len(video_ids),
         "nnz": len(index.post_rows),
+        "max_end_s": max_end_s,
         "build_stats": asdict(index.build_stats),
     }
     header["sha256"] = _digest(header, payload)
@@ -359,12 +393,14 @@ def _decode(data: bytes) -> ModalityIndex:
         spec = EmbedderSpec.from_dict(header["embedder"])
         source = header["source"]
         dim, count, nnz = int(header["dim"]), int(header["count"]), int(header["nnz"])
-        videos = int(header["videos"])
+        videos, max_end_s = int(header["videos"]), int(header["max_end_s"])
         stats = BuildStats(**header["build_stats"])
     except (KeyError, TypeError, ValueError) as exc:
         raise IndexingError(f"bad header: {exc!r}") from None
-    if min(count, videos, nnz) < 0:
-        raise IndexingError("bad header: negative count, videos or nnz")
+    if min(count, videos, nnz, max_end_s) < 0:
+        raise IndexingError("bad header: negative count, videos, nnz or max_end_s")
+    if max(count, videos, max_end_s) > _MAX_U32:
+        raise IndexingError(f"bad header: count, videos or max_end_s above {_MAX_U32}")
     if digest != _digest(header, [payload]):
         raise IndexingError("sha256 mismatch: the file is damaged or truncated")
     if source not in INDEX_SOURCES:
@@ -373,6 +409,7 @@ def _decode(data: bytes) -> ModalityIndex:
         raise IndexingError(f"header dim {dim} does not match embedder dim {spec.dim}")
 
     offset = 0
+    types = _column_types(count, videos, max_end_s)
 
     def column(name: str, dtype: str, n: int) -> np.ndarray:
         nonlocal offset
@@ -381,13 +418,16 @@ def _decode(data: bytes) -> ModalityIndex:
             raise IndexingError(f"the {name} column runs past the end of the file")
         return np.frombuffer(payload, dtype, count=n, offset=start)
 
+    def kept(name: str, n: int) -> np.ndarray:  # an integer column, copied out at its width
+        return column(name, "<" + types[name], n).astype(types[name])
+
     id_lengths = column("video id length", "<u4", videos)
     id_bytes = column("video id", "u1", int(id_lengths.sum())).tobytes()
-    numbers = column("video number", "<u4", count).astype(np.uint32)
-    starts = column("start", "<u4", count).astype(np.uint32)
-    ends = column("end", "<u4", count).astype(np.uint32)
-    counts = column("bucket count", "<u4", dim)
-    rows = column("row", "<u4", nnz).astype(np.uint32)
+    numbers = kept("video number", count)
+    starts = kept("start", count)
+    ends = kept("end", count)
+    counts = column("bucket count", "<" + types["bucket count"], dim)
+    rows = kept("row", nnz)
     weights = column("weight", "<f8", nnz).astype(np.float64)
     if offset != len(payload):
         raise IndexingError(f"{len(payload) - offset} bytes trail the last column")
@@ -409,7 +449,10 @@ def _decode(data: bytes) -> ModalityIndex:
         raise IndexingError("the video id table repeats an id")
     _check_rows(numbers >= videos, "has a video number past the video ids")
     _check_rows(ends <= starts, "does not end after it starts")
-    # Neighbours are compared, not differenced: a u32 difference wraps.
+    largest_end = int(ends.max(initial=0))  # 0 for an empty index
+    if largest_end != max_end_s:
+        raise IndexingError(f"header max_end_s {max_end_s} is not the largest end, {largest_end}")
+    # Neighbours are compared, not differenced: an unsigned difference wraps.
     falls = rows[1:] <= rows[:-1]
     falls[post_ptr[:-1][counts > 0][1:] - 1] = False  # a bucket may start below the last one's end
     if np.any(falls) or np.any(rows >= count):

@@ -39,9 +39,30 @@ def resign(data, edit):
     return json.dumps(signed, sort_keys=True).encode("utf-8") + b"\n" + payload
 
 
+def column_codes(header):
+    """The struct code of each integer column the header's bounds size, as
+    the README states the rule: the narrowest of u8, u16 and u32 that holds
+    the column's largest value. A row is below ``count``, a bucket holds at
+    most ``count`` rows, a video number is below ``videos``, and a time is
+    at most ``max_end_s``."""
+
+    def code(largest):
+        return "B" if largest < 2**8 else "H" if largest < 2**16 else "I"
+
+    count, videos, max_end_s = header["count"], header["videos"], header["max_end_s"]
+    return {
+        "video number": code(videos - 1),
+        "start": code(max_end_s),
+        "end": code(max_end_s),
+        "bucket count": code(count),
+        "row": code(count - 1),
+    }
+
+
 def edit_video_table(edit):
     """An edit for :func:`resign` that replaces the file's video id table and
-    video number column with what ``edit(ids, numbers)`` makes of them."""
+    video number column with what ``edit(ids, numbers)`` makes of them, the
+    numbers at the width of the new table."""
 
     def corrupt(header, payload):
         videos, count = header["videos"], header["count"]
@@ -50,9 +71,11 @@ def edit_video_table(edit):
         for length in struct.unpack_from(f"<{videos}I", payload):
             ids.append(payload[at : at + length])
             at += length
-        ids, numbers = edit(ids, list(struct.unpack_from(f"<{count}I", payload, at)))
+        code = column_codes(header)["video number"]
+        ids, numbers = edit(ids, list(struct.unpack_from(f"<{count}{code}", payload, at)))
+        header = {**header, "videos": len(ids)}
         table = struct.pack(f"<{len(ids)}I", *map(len, ids)) + b"".join(ids)
-        table += struct.pack(f"<{count}I", *numbers)
-        return {**header, "videos": len(ids)}, table + payload[at + 4 * count :]
+        table += struct.pack(f"<{count}{column_codes(header)['video number']}", *numbers)
+        return header, table + payload[at + struct.calcsize(f"<{count}{code}") :]
 
     return corrupt

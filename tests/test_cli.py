@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import edit_video_table, resign
+from conftest import column_codes, edit_video_table, resign
 
 from cliproute import cli, embed
 from cliproute import index as index_mod
@@ -627,8 +627,11 @@ class TestQuery:
             videos, count = header["videos"], header["count"]
             at = 4 * videos + sum(struct.unpack_from(f"<{videos}I", payload))
             payload = bytearray(payload)
-            for column in range(at, at + 12 * count, 4 * count):
-                payload[column + 4 : column + 8] = payload[column : column + 4]
+            codes = column_codes(header)
+            for name in ("video number", "start", "end"):
+                size = struct.calcsize(codes[name])
+                payload[at + size : at + 2 * size] = payload[at : at + size]
+                at += size * count
             return header, bytes(payload)
 
         path.write_bytes(resign(path.read_bytes(), repeat_row_0))
@@ -886,19 +889,44 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "asr.idx" in err
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_old_index_asks_for_a_rebuild(self, workspace, capsys, version):
         _gen(workspace)
         _build(workspace)
         path = workspace["index_dir"] / "asr.idx"
         header, _, payload = path.read_bytes().partition(b"\n")
-        old = header.replace(b'"version": 4', f'"version": {version}'.encode())
+        old = header.replace(b'"version": 5', f'"version": {version}'.encode())
         assert old != header
         path.write_bytes(old + b"\n" + payload)
         capsys.readouterr()
         assert self._evaluate(workspace, "single:asr") == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err == f"error: {path}: unsupported version {version}; rebuild with build-index\n"
+
+    @pytest.mark.parametrize(
+        "field, change, message",
+        [
+            ("max_end_s", 1, r"header max_end_s \d+ is not the largest end, \d+"),
+            ("max_end_s", 2**16, "the [a-z ]+ column runs past the end of the file"),
+            ("count", 2**8, "the [a-z ]+ column runs past the end of the file"),
+            ("videos", 2**8, "the [a-z ]+ column runs past the end of the file"),
+            ("max_end_s", 2**32, "bad header: count, videos or max_end_s above 4294967295"),
+        ],
+        ids=["not-the-largest-end", "wider-times", "wider-rows", "wider-numbers", "past-u32"],
+    )
+    def test_a_header_bound_save_index_did_not_write_is_runtime_error(
+        self, workspace, capsys, field, change, message
+    ):
+        _gen(workspace)
+        _build(workspace)
+        path = workspace["index_dir"] / "asr.idx"
+        path.write_bytes(
+            resign(path.read_bytes(), lambda h, p: ({**h, field: h[field] + change}, p))
+        )
+        capsys.readouterr()
+        assert self._evaluate(workspace, "single:asr") == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {re.escape(str(path))}: {message}\n", err)
 
     def test_signed_header_dim_above_the_ceiling_is_runtime_error(self, workspace, capsys):
         _gen(workspace)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliproute import embed as embed_module
 from cliproute.corpus import ClipRecord, ClipRef, Corpus, Modality, normalize_text
 from cliproute.embed import (
     _WORD_MEMO_SIZE,
@@ -138,6 +139,30 @@ class TestWordMemo:
         unmemoized += [token_bucket(word[i : i + 3], dim) for i in range(len(word) - 2)]
         assert list(_word_buckets(dim, word)) == unmemoized  # filled here or before
         assert list(_word_buckets(dim, word)) == unmemoized  # served from the memo
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        word=st.text(st.sampled_from("abcé1_"), min_size=1, max_size=6),
+        dim=st.sampled_from([8, 512, 4096]),
+    )
+    def test_buckets_equal_one_hash_per_feature(self, word, dim):
+        # Short words from a small alphabet: many have exactly 3 letters.
+        trigrams = [word[i : i + 3] for i in range(len(word) - 2)]
+        expected = (token_bucket(word, dim), *(token_bucket(t, dim) for t in trigrams))
+        assert _word_buckets.__wrapped__(dim, word) == expected
+
+    @pytest.mark.parametrize("word, hashed", [("cat", ["cat"]), ("cats", ["cats", "cat", "ats"])])
+    def test_a_three_letter_word_is_hashed_once(self, monkeypatch, word, hashed):
+        seen = []
+
+        def counted(token, dim):
+            seen.append(token)
+            return token_bucket(token, dim)
+
+        monkeypatch.setattr(embed_module, "token_bucket", counted)
+        buckets = _word_buckets.__wrapped__(512, word)
+        assert seen == hashed
+        assert len(buckets) == 1 + max(len(word) - 2, 0)
 
     def test_memo_never_exceeds_its_bound(self, spec):
         rng = random.Random(5)

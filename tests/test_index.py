@@ -1,12 +1,13 @@
 """Tests for index construction, search, and serialization."""
 
+import dataclasses
 import gc
 import random
 import struct
 
 import numpy as np
 import pytest
-from conftest import edit_video_table, resign, split_index
+from conftest import column_codes, edit_video_table, resign, split_index
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from cliproute.index import (
     INDEX_SOURCES,
     BuildStats,
     IndexingError,
+    ModalityIndex,
     build_fused_index,
     build_index,
     load_index,
@@ -157,6 +159,19 @@ def _signed_embed(spec, text):
 
 
 register_embedder("test-signed", _signed_embed)
+
+#: Buckets at and just past the largest u8, i16 and u16 values.
+_EDGE_BUCKETS = np.array([3, 255, 256, 32767, 32768, 65535])
+
+
+def _edge_embed(spec, text):
+    """A registered embedder whose vectors use only :data:`_EDGE_BUCKETS`,
+    weighted by the text's letters."""
+    weights = np.array([1.0 + (ord(c) + i) % 5 for i, c in enumerate(text[:6].ljust(6))])
+    return SparseVector(spec.dim, _EDGE_BUCKETS, weights / np.linalg.norm(weights))
+
+
+register_embedder("test-edges", _edge_embed)
 
 
 def _dense_pool(spec, text):
@@ -467,6 +482,20 @@ class TestSearch:
         with pytest.raises(EmbeddingError):
             search(index, embed_text(default_spec(dim=64), "alpha"), 5)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int16])
+    def test_narrow_query_buckets_at_their_largest_value(self, dtype):
+        # + 1 on the largest value of these types wraps to 0 or below 0.
+        spec = EmbedderSpec("test-edges", 2**16)
+        texts = ["alpha", "basil", "cedar", "dahlia"]
+        corpus = _corpus(*[_clip(f"v{i}", 0, asr_text=text) for i, text in enumerate(texts)])
+        index = build_index(corpus, Modality.ASR, spec)
+        largest = int(np.iinfo(dtype).max)
+        weights = np.array([0.6, 0.8])
+        wide = search(index, SparseVector(spec.dim, np.array([3, largest]), weights), 10)
+        narrow = SparseVector(spec.dim, np.array([3, largest], dtype=dtype), weights)
+        assert search(index, narrow, 10) == wide
+        assert sorted(ref.video_id for ref, _ in wide.items) == ["v0", "v1", "v2", "v3"]
+
     def test_matches_brute_force_ordering(self, spec):
         rng = random.Random(23)
         words = _WORDS
@@ -634,6 +663,25 @@ class TestSearchParity:
             assert search(index, vec, n).items == expected
             assert search(loaded, vec, n).items == expected
 
+    @pytest.mark.parametrize("source", INDEX_SOURCES)
+    def test_loaded_narrow_columns_search_as_u32_columns(
+        self, acceptance_corpus, tmp_path, source
+    ):
+        # The same index with every integer column at u32, as format v4 kept it.
+        _, queries, indices = acceptance_corpus
+        save_index(indices[source], tmp_path / "index.idx")
+        loaded = load_index(tmp_path / "index.idx")
+        assert loaded.post_rows.dtype == np.uint16
+        u32 = {
+            name: getattr(loaded, name).astype(np.uint32)
+            for name in ("video_numbers", "start_s", "end_s", "post_rows")
+        }
+        wide = dataclasses.replace(loaded, **u32)
+        for i, query in enumerate(queries[::10]):
+            vec = embed_text(loaded.embedder, query.text)
+            n = (10, 50, 1000)[i % 3]
+            assert search(loaded, vec, n) == search(wide, vec, n)
+
     def test_dense_embedder_stores_every_bucket(self):
         spec = EmbedderSpec("test-dense", 32)
         corpus = _corpus(_clip("a", 0, asr_text="alpha"), _clip("b", 0, asr_text="beta"))
@@ -654,15 +702,18 @@ def _saved(tmp_path, spec):
 
 
 def _offsets(header, payload):
-    """Byte offset of each payload column, as the README lays them out."""
-    videos, count = header["videos"], header["count"]
+    """Byte offset of each payload column, as the README lays them out, each
+    integer column at the width the header's bounds give it."""
+    videos, count, dim, nnz = header["videos"], header["count"], header["dim"], header["nnz"]
+    size = {name: struct.calcsize(code) for name, code in column_codes(header).items()}
     id_lengths = struct.unpack_from(f"<{videos}I", payload, 0)
     at = {"video id length": 0, "video id": 4 * videos}
     at["video number"] = at["video id"] + sum(id_lengths)
-    for column, after in (("start", "video number"), ("end", "start"), ("bucket count", "end")):
-        at[column] = at[after] + 4 * count
-    at["row"] = at["bucket count"] + 4 * header["dim"]
-    at["weight"] = at["row"] + 4 * header["nnz"]
+    at["start"] = at["video number"] + size["video number"] * count
+    at["end"] = at["start"] + size["start"] * count
+    at["bucket count"] = at["end"] + size["end"] * count
+    at["row"] = at["bucket count"] + size["bucket count"] * dim
+    at["weight"] = at["row"] + size["row"] * nnz
     return at
 
 
@@ -686,13 +737,15 @@ def _with_postings(edit):
 
     def corrupt(header, payload):
         at = _offsets(header, payload)
+        codes = column_codes(header)
+        dtypes = ("<" + codes["bucket count"], "<" + codes["row"], "<f8")
         columns = edit(
-            np.frombuffer(payload, "<u4", header["dim"], at["bucket count"]),
-            np.frombuffer(payload, "<u4", header["nnz"], at["row"]),
-            np.frombuffer(payload, "<f8", header["nnz"], at["weight"]),
+            np.frombuffer(payload, dtypes[0], header["dim"], at["bucket count"]),
+            np.frombuffer(payload, dtypes[1], header["nnz"], at["row"]),
+            np.frombuffer(payload, dtypes[2], header["nnz"], at["weight"]),
         )
         payload = payload[: at["bucket count"]] + b"".join(
-            column.astype(dtype).tobytes() for column, dtype in zip(columns, ("<u4", "<u4", "<f8"))
+            column.astype(dtype).tobytes() for column, dtype in zip(columns, dtypes)
         )
         return {**header, "nnz": len(columns[1])}, payload
 
@@ -700,10 +753,12 @@ def _with_postings(edit):
 
 
 def _set_clip(column, row, value):
-    """Corruption that sets one clip's u32 in a per-clip column."""
+    """Corruption that sets one clip's value in a per-clip column."""
 
     def corrupt(header, payload):
-        return header, _put(payload, _offsets(header, payload)[column] + 4 * row, "<I", value)
+        code = "<" + column_codes(header)[column]
+        at = _offsets(header, payload)[column] + struct.calcsize(code) * row
+        return header, _put(payload, at, code, value)
 
     return corrupt
 
@@ -738,8 +793,9 @@ def _swap_rows_within_a_bucket(counts, rows, weights):
 
 def _set_row(position, value):
     def corrupt(header, payload):
-        at = _offsets(header, payload)["row"] + 4 * (position % header["nnz"])
-        return header, _put(payload, at, "<I", value)
+        code = "<" + column_codes(header)["row"]
+        at = _offsets(header, payload)["row"] + struct.calcsize(code) * (position % header["nnz"])
+        return header, _put(payload, at, code, value)
 
     return corrupt
 
@@ -756,8 +812,9 @@ def _swap_the_rows(header, payload):
     """The file's two rows in the other order, each with its postings."""
     at = _offsets(header, payload)
     for column in ("video number", "start", "end"):
-        first, second = struct.unpack_from("<II", payload, at[column])
-        payload = _put(payload, at[column], "<II", second, first)
+        pair = "<2" + column_codes(header)[column]
+        first, second = struct.unpack_from(pair, payload, at[column])
+        payload = _put(payload, at[column], pair, second, first)
 
     def edit(counts, rows, weights):
         order = np.lexsort((1 - rows, np.repeat(np.arange(len(counts)), counts)))
@@ -767,30 +824,74 @@ def _swap_the_rows(header, payload):
 
 
 def _per_entry_payload(index):
-    """The v4 payload written entry by entry with struct, as the README lays
+    """The v5 payload written entry by entry with struct, as the README lays
     it out: each new video id goes to the id table and each clip's fields to
     the end of their columns; then each bucket's posting count, and each
-    bucket's rows and weights, in row order, after the buckets before it."""
+    bucket's rows and weights, in row order, after the buckets before it.
+    Returns the payload, the number of videos and the largest end."""
+    refs = _refs(index)
     numbers = {}
+    for ref in refs:
+        numbers.setdefault(ref.video_id, len(numbers))
+    max_end_s = max((ref.end_s for ref in refs), default=0)
+    codes = column_codes({"count": len(refs), "videos": len(numbers), "max_end_s": max_end_s})
+    codes = {name: "<" + code for name, code in codes.items()}
     columns = {name: [] for name in ("lengths", "ids", "video", "start", "end")}
-    for ref in _refs(index):
-        if ref.video_id not in numbers:
-            numbers[ref.video_id] = len(numbers)
-            encoded = ref.video_id.encode("utf-8")
-            columns["lengths"].append(struct.pack("<I", len(encoded)))
-            columns["ids"].append(encoded)
-        columns["video"].append(struct.pack("<I", numbers[ref.video_id]))
-        columns["start"].append(struct.pack("<I", ref.start_s))
-        columns["end"].append(struct.pack("<I", ref.end_s))
+    for video in numbers:
+        columns["lengths"].append(struct.pack("<I", len(video.encode("utf-8"))))
+        columns["ids"].append(video.encode("utf-8"))
+    for ref in refs:
+        columns["video"].append(struct.pack(codes["video number"], numbers[ref.video_id]))
+        columns["start"].append(struct.pack(codes["start"], ref.start_s))
+        columns["end"].append(struct.pack(codes["end"], ref.end_s))
     postings = [[] for _ in range(index.embedder.dim)]
     indptr, buckets, weights = _row_major(index)
     for row in range(len(index)):
         for j in range(indptr[row], indptr[row + 1]):
             postings[buckets[j]].append((row, float(weights[j])))
-    columns["counts"] = [struct.pack("<I", len(bucket)) for bucket in postings]
-    columns["rows"] = [struct.pack("<I", row) for bucket in postings for row, _ in bucket]
+    columns["counts"] = [struct.pack(codes["bucket count"], len(bucket)) for bucket in postings]
+    columns["rows"] = [struct.pack(codes["row"], row) for bucket in postings for row, _ in bucket]
     columns["weights"] = [struct.pack("<d", w) for bucket in postings for _, w in bucket]
-    return b"".join(b"".join(parts) for parts in columns.values()), len(numbers)
+    return b"".join(b"".join(parts) for parts in columns.values()), len(numbers), max_end_s
+
+
+def _constructed(count, videos, max_end_s=None, dim=8):
+    """An index built directly from columns: ``count`` clips over ``videos``
+    videos, clip j of a video from j to j + 1 s (the last clip ending at
+    ``max_end_s`` if given), and row i's one posting in bucket i % dim. Its
+    integer columns are int64, wider than any file column."""
+    clips = [(f"v{i % videos:03d}", i // videos, i // videos + 1) for i in range(count)]
+    if max_end_s is not None:
+        video, start, _ = clips[-1]
+        clips[-1] = (video, start, max_end_s)
+    clips.sort(key=lambda clip: ClipRef(*clip).clip_id)
+    numbers = {}
+    video_numbers = [numbers.setdefault(video, len(numbers)) for video, _, _ in clips]
+    buckets = np.arange(count) % dim
+    post_ptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(buckets, minlength=dim), out=post_ptr[1:])
+    return ModalityIndex(
+        source="asr",
+        embedder=default_spec(dim),
+        video_ids=list(numbers),
+        video_numbers=np.array(video_numbers, dtype=np.int64),
+        start_s=np.array([start for _, start, _ in clips], dtype=np.int64),
+        end_s=np.array([end for _, _, end in clips], dtype=np.int64),
+        post_ptr=post_ptr,
+        post_rows=np.argsort(buckets, kind="stable"),
+        post_weights=np.ones(count),
+        build_stats=BuildStats(indexed=count, skipped=0, empty=not count),
+    )
+
+
+def _widen_the_times(header, payload):
+    """The start and end columns rewritten as u16, and the header's time
+    bound raised to 256 to imply that width, but no end moved to it."""
+    at, count = _offsets(header, payload), header["count"]
+    times = struct.unpack_from(f"<{2 * count}B", payload, at["start"])
+    times = struct.pack(f"<{2 * count}H", *times)
+    payload = payload[: at["start"]] + times + payload[at["bucket count"] :]
+    return {**header, "max_end_s": 256}, payload
 
 
 class TestSerialization:
@@ -802,10 +903,11 @@ class TestSerialization:
         save_index(index, tmp_path / "index.idx")
         data = (tmp_path / "index.idx").read_bytes()
         header, _ = split_index(data)
-        payload, videos = _per_entry_payload(index)
+        payload, videos, max_end_s = _per_entry_payload(index)
         nnz = len(index.post_rows)
-        assert (header["version"], header["count"], header["nnz"]) == (4, len(index), nnz)
+        assert (header["version"], header["count"], header["nnz"]) == (5, len(index), nnz)
         assert header["videos"] == videos < len(index)
+        assert header["max_end_s"] == max_end_s
         assert data == resign(data, lambda header, _: (header, payload))
 
     def test_video_ids_are_numbered_in_order_of_first_use(self, tmp_path, spec):
@@ -880,18 +982,20 @@ class TestSerialization:
         path = _saved(tmp_path, spec)
         data = path.read_bytes()
         header, payload = split_index(data)
-        assert (header["version"], header["count"], header["videos"]) == (4, 2, 2)
+        assert (header["version"], header["count"], header["videos"]) == (5, 2, 2)
+        assert header["max_end_s"] == 10
         assert data == resign(data, lambda header, payload: (header, payload))
         index = load_index(path)
         at = _offsets(header, payload)
         assert struct.unpack_from("<2I", payload, 0) == (1, 1)
         assert payload[at["video id"] : at["video number"]] == b"ab"
+        # Two clips, two videos and ends of 10: every integer column is u8.
         for column, values in (("video number", (0, 1)), ("start", (0, 0)), ("end", (10, 10))):
-            assert struct.unpack_from("<2I", payload, at[column]) == values
+            assert struct.unpack_from("<2B", payload, at[column]) == values
         dim, nnz = header["dim"], header["nnz"]
-        counts = struct.unpack_from(f"<{dim}I", payload, at["bucket count"])
+        counts = struct.unpack_from(f"<{dim}B", payload, at["bucket count"])
         assert counts == tuple(np.diff(index.post_ptr))
-        assert struct.unpack_from(f"<{nnz}I", payload, at["row"]) == tuple(index.post_rows)
+        assert struct.unpack_from(f"<{nnz}B", payload, at["row"]) == tuple(index.post_rows)
         assert struct.unpack_from(f"<{nnz}d", payload, at["weight"]) == tuple(index.post_weights)
         assert at["weight"] + 8 * nnz == len(payload)
 
@@ -907,6 +1011,17 @@ class TestSerialization:
             (_with_postings(lambda c, r, w: (c, r[:1], w[:1])), "header says 1"),
             (_with_header(source="audio"), "unknown source"),
             (_with_header(count=-1), "negative count"),
+            (_with_header(max_end_s=-1), "negative count, videos, nnz or max_end_s"),
+            (_with_header(max_end_s=2**32), "max_end_s above 4294967295"),
+            (_with_header(count=2**32), "max_end_s above 4294967295"),
+            (_with_header(count=257), "runs past the end"),
+            (_with_header(videos=257), "runs past the end"),
+            (_with_header(max_end_s=256), "runs past the end"),
+            (_with_header(max_end_s=2**32 - 1), "runs past the end"),
+            (_widen_the_times, "header max_end_s 256 is not the largest end, 10"),
+            (_with_header(max_end_s=11), "header max_end_s 11 is not the largest end, 10"),
+            (_with_header(max_end_s=9), "header max_end_s 9 is not the largest end, 10"),
+            (_with_header(max_end_s=0), "header max_end_s 0 is not the largest end, 10"),
             (lambda h, p: (h, p + b"\0"), "bytes trail the last column"),
             (lambda h, p: (h, p[:-8]), "runs past the end"),
             (_set_clip("video number", 1, 2), "row 1 has a video number past the video ids"),
@@ -940,6 +1055,84 @@ class TestSerialization:
         path.write_bytes(resign(path.read_bytes(), corrupt))
         with pytest.raises(IndexingError, match=message):
             load_index(path)
+
+    @pytest.mark.parametrize(
+        "count, videos, max_end_s, sizes",
+        [
+            # sizes: (video number, start and end, bucket count, row) bytes
+            (0, 0, None, (1, 1, 1, 1)),
+            (255, 255, None, (1, 1, 1, 1)),
+            (256, 256, None, (1, 1, 2, 1)),
+            (257, 256, None, (1, 1, 2, 2)),
+            (65_536, 256, None, (1, 2, 4, 2)),
+            (65_537, 256, None, (1, 2, 4, 4)),
+            (257, 257, None, (2, 1, 2, 2)),
+            (2, 1, 255, (1, 1, 1, 1)),
+            (2, 1, 256, (1, 2, 1, 1)),
+            (2, 1, 65_535, (1, 2, 1, 1)),
+            (2, 1, 65_536, (1, 4, 1, 1)),
+            (2, 1, 2**32 - 1, (1, 4, 1, 1)),
+        ],
+    )
+    def test_each_integer_column_takes_the_width_its_header_bound_allows(
+        self, tmp_path, count, videos, max_end_s, sizes
+    ):
+        index = _constructed(count, videos, max_end_s)
+        save_index(index, tmp_path / "one.idx")
+        data = (tmp_path / "one.idx").read_bytes()
+        loaded = load_index(tmp_path / "one.idx")
+        save_index(loaded, tmp_path / "two.idx")
+        assert (tmp_path / "two.idx").read_bytes() == data
+        header, payload = split_index(data)
+        largest_end = int(index.end_s.max(initial=0))
+        assert (header["count"], header["videos"], header["max_end_s"]) == (
+            count, videos, largest_end,
+        )
+        assert max_end_s in (None, largest_end)
+        columns = (loaded.video_numbers, loaded.start_s, loaded.end_s, loaded.post_rows)
+        assert [column.dtype for column in columns] == [
+            np.dtype(f"u{size}") for size in (sizes[0], sizes[1], sizes[1], sizes[3])
+        ]
+        at = _offsets(header, payload)
+        assert at["row"] - at["bucket count"] == sizes[2] * header["dim"]
+        assert len(payload) == at["weight"] + 8 * count
+        assert data == resign(data, lambda header, _: (header, _per_entry_payload(loaded)[0]))
+        # A save writes the file widths whatever the index holds.
+        names = ("video_numbers", "start_s", "end_s", "post_rows")
+        narrow = dataclasses.replace(index, **{name: getattr(loaded, name) for name in names})
+        save_index(narrow, tmp_path / "three.idx")
+        assert (tmp_path / "three.idx").read_bytes() == data
+
+    def test_u8_bucket_counts_add_up_past_255(self, tmp_path):
+        # Two rows in every one of 512 buckets: 1,024 postings counted in u8.
+        spec = EmbedderSpec("test-dense", 512)
+        corpus = _corpus(_clip("a", 0, asr_text="alpha"), _clip("b", 0, asr_text="beta"))
+        index = build_index(corpus, Modality.ASR, spec)
+        save_index(index, tmp_path / "asr.idx")
+        header, payload = split_index((tmp_path / "asr.idx").read_bytes())
+        assert (column_codes(header)["bucket count"], header["nnz"]) == ("B", 1024)
+        loaded = load_index(tmp_path / "asr.idx")
+        assert np.array_equal(loaded.post_ptr, index.post_ptr)
+        assert loaded.post_ptr[-1] == 1024
+
+    @pytest.mark.parametrize("source", INDEX_SOURCES)
+    def test_built_columns_have_their_file_widths(self, acceptance_corpus, tmp_path, source):
+        built = acceptance_corpus[2][source]
+        save_index(built, tmp_path / "index.idx")
+        header, _ = split_index((tmp_path / "index.idx").read_bytes())
+        codes = column_codes(header)
+        # 1,000 clips or fewer, 200 videos and ends below 256 s.
+        assert (codes["video number"], codes["end"], codes["row"]) == ("B", "B", "H")
+        loaded = load_index(tmp_path / "index.idx")
+        for index in (built, loaded):
+            for name, column in (
+                ("video number", index.video_numbers),
+                ("start", index.start_s),
+                ("end", index.end_s),
+                ("row", index.post_rows),
+            ):
+                assert column.dtype.itemsize == struct.calcsize(codes[name])
+                assert column.dtype.kind == "u"
 
     @pytest.mark.parametrize("start, end", [(0, 2**32), (2**32, 2**32 + 10)])
     def test_times_past_the_u32_columns_are_rejected_before_writing(self, tmp_path, spec, start, end):
@@ -997,7 +1190,7 @@ class TestSerialization:
         order = np.argsort(buckets, kind="stable")
         ptr = np.concatenate([[0], np.cumsum(np.bincount(buckets, minlength=dim))])
         for built in (index, loaded):
-            assert (built.post_ptr.dtype, built.post_rows.dtype) == (np.int64, np.uint32)
+            assert (built.post_ptr.dtype, built.post_rows.dtype) == (np.int64, np.uint8)
             assert np.array_equal(built.post_ptr, ptr)
             assert np.array_equal(built.post_rows, rows[order])
             assert built.post_weights.tobytes() == weights[order].tobytes()
